@@ -11,14 +11,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .calibration import CalibrationResult, ShapeParams, calibrate, solve_theta
 from .exact_count import PartSet, Target
 from .special_functions import (
     DEFAULT_TOL,
     ZETA2,
+    _dirichlet_series,
+    _geometric,
+    _series,
+    delta,
     dirichlet,
     phi,
-    phi_derivatives,
     psi,
     zeta_neg,
 )
@@ -31,19 +36,25 @@ def _check_params(params: ShapeParams) -> None:
         raise ValueError(f"parameters must be positive, got {params}")
 
 
-def _sum_r(alpha: float, beta: float, term, tol: float) -> float:
-    """Sum term(r) over r >= 1 with a geometric tail bound in e^{-(a+b)r}."""
-    q = math.exp(-(alpha + beta))
-    total = 0.0
-    r = 1
-    while True:
-        t = term(r)
-        total += t
-        if abs(t) * q / (1.0 - q) < tol:
-            return total
-        r += 1
-        if r > 100_000_000:  # pragma: no cover
-            raise RuntimeError("r-series failed to converge")
+def _log_z_sums(params: ShapeParams, part_set: PartSet, tol: float) -> tuple:
+    """(log Z, E N1, E N2, Var N1, Cov, Var N2), one r-pass per part family:
+    log Z = sum_r G0(a r) G0(b r)/r (+ Psi(a) + Psi(b) for the axis families),
+    and each derivative in a or b turns G_k into -r G_{k+1}."""
+    _check_params(params)
+    a, b = params.alpha, params.beta
+
+    def block(r):
+        a0, a1, a2 = _geometric(a * r)
+        b0, b1, b2 = _geometric(b * r)
+        return np.stack([a0 * b0 / r, a1 * b0, a0 * b1, r * a2 * b0, r * a1 * b1, r * a0 * b2])
+
+    sums = _series(block, a + b, 1.0, tol)[0]
+    if part_set is PartSet.NONZERO_VECTORS:
+        pa, dpa, ddpa = _dirichlet_series(a, 1.0, 2, tol)[0]
+        pb, dpb, ddpb = _dirichlet_series(b, 1.0, 2, tol)[0]
+        axes = (pa + pb, -dpa, -dpb, ddpa, 0.0, ddpb)
+        sums = [s + x for s, x in zip(sums, axes)]
+    return tuple(sums)
 
 
 def log_z_direct(
@@ -54,18 +65,7 @@ def log_z_direct(
     For the nonzero part set, the two axis families contribute Psi(alpha)
     and Psi(beta) on top of the interior sum.
     """
-    _check_params(params)
-    a, b = params.alpha, params.beta
-
-    def term(r: int) -> float:
-        ea = math.exp(-a * r)
-        eb = math.exp(-b * r)
-        return (ea / (1.0 - ea)) * (eb / (1.0 - eb)) / r
-
-    value = _sum_r(a, b, term, tol)
-    if part_set is PartSet.NONZERO_VECTORS:
-        value += psi(a, tol) + psi(b, tol)
-    return value
+    return _log_z_sums(params, part_set, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -137,82 +137,15 @@ def gibbs_mean(
     params: ShapeParams, part_set: PartSet, tol: float = DEFAULT_TOL
 ) -> tuple[float, float]:
     """Mean of N under the Gibbs measure: minus the gradient of log Z."""
-    _check_params(params)
-    a, b = params.alpha, params.beta
-
-    def term1(r: int) -> float:
-        ea = math.exp(-a * r)
-        eb = math.exp(-b * r)
-        return (ea / (1.0 - ea) ** 2) * (eb / (1.0 - eb))
-
-    def term2(r: int) -> float:
-        ea = math.exp(-a * r)
-        eb = math.exp(-b * r)
-        return (ea / (1.0 - ea)) * (eb / (1.0 - eb) ** 2)
-
-    m1 = _sum_r(a, b, term1, tol)
-    m2 = _sum_r(a, b, term2, tol)
-    if part_set is PartSet.NONZERO_VECTORS:
-        # -Psi'(x) = sum_r e^{-xr}/(1-e^{-xr})^2
-        m1 += _sum_r(a, 0.0, lambda r: math.exp(-a * r) / (1 - math.exp(-a * r)) ** 2, tol)
-        m2 += _sum_r(b, 0.0, lambda r: math.exp(-b * r) / (1 - math.exp(-b * r)) ** 2, tol)
-    return (m1, m2)
+    return _log_z_sums(params, part_set, tol)[1:3]
 
 
 def gibbs_covariance(
     params: ShapeParams, part_set: PartSet, tol: float = DEFAULT_TOL
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Covariance of N: the Hessian of log Z, from second derivative series."""
-    _check_params(params)
-    a, b = params.alpha, params.beta
-
-    def taa(r: int) -> float:
-        ea = math.exp(-a * r)
-        eb = math.exp(-b * r)
-        return r * ea * (1.0 + ea) / (1.0 - ea) ** 3 * (eb / (1.0 - eb))
-
-    def tbb(r: int) -> float:
-        ea = math.exp(-a * r)
-        eb = math.exp(-b * r)
-        return r * eb * (1.0 + eb) / (1.0 - eb) ** 3 * (ea / (1.0 - ea))
-
-    def tab(r: int) -> float:
-        ea = math.exp(-a * r)
-        eb = math.exp(-b * r)
-        return r * (ea / (1.0 - ea) ** 2) * (eb / (1.0 - eb) ** 2)
-
-    # second-derivative terms carry an extra factor r: tail growth exponent 1
-    caa = _sum_r_weighted(a, b, taa, tol)
-    cbb = _sum_r_weighted(a, b, tbb, tol)
-    cab = _sum_r_weighted(a, b, tab, tol)
-    if part_set is PartSet.NONZERO_VECTORS:
-        # Psi''(x) = sum_r r e^{-xr}(1+e^{-xr})/(1-e^{-xr})^3
-        caa += _sum_r_weighted(
-            a, 0.0,
-            lambda r: r * math.exp(-a * r) * (1 + math.exp(-a * r)) / (1 - math.exp(-a * r)) ** 3,
-            tol,
-        )
-        cbb += _sum_r_weighted(
-            b, 0.0,
-            lambda r: r * math.exp(-b * r) * (1 + math.exp(-b * r)) / (1 - math.exp(-b * r)) ** 3,
-            tol,
-        )
+    caa, cab, cbb = _log_z_sums(params, part_set, tol)[3:]
     return ((caa, cab), (cab, cbb))
-
-
-def _sum_r_weighted(alpha: float, beta: float, term, tol: float) -> float:
-    """Like _sum_r but with a term ratio bound e^{-(a+b)} * (r+1)/r."""
-    total = 0.0
-    r = 1
-    while True:
-        t = term(r)
-        total += t
-        q = math.exp(-(alpha + beta)) * ((r + 1) / r)
-        if q < 1.0 and abs(t) * q / (1.0 - q) < tol:
-            return total
-        r += 1
-        if r > 100_000_000:  # pragma: no cover
-            raise RuntimeError("r-series failed to converge")
 
 
 @dataclass(frozen=True)
@@ -233,7 +166,6 @@ def theorem_estimate(target: Target, part_set: PartSet) -> AsymptoticEstimate:
     t = target.n1 / math.sqrt(target.n2)
     p = phi(alpha)
     ps = psi(alpha)
-    from .special_functions import delta as delta_fn
 
     if part_set is PartSet.STRICT_POSITIVE:
         exponent = (alpha * t + 2.0 * math.sqrt(p)) * math.sqrt(target.n2)
@@ -241,7 +173,7 @@ def theorem_estimate(target: Target, part_set: PartSet) -> AsymptoticEstimate:
             -math.log(2.0 * math.pi)
             + math.log(p / target.n2)
             - 0.5 * ps
-            - 0.5 * math.log(delta_fn(alpha, barred=False))
+            - 0.5 * math.log(delta(alpha, barred=False))
         )
     else:
         pb = p + ZETA2
@@ -250,7 +182,7 @@ def theorem_estimate(target: Target, part_set: PartSet) -> AsymptoticEstimate:
             -1.5 * math.log(2.0 * math.pi)
             + 1.25 * math.log(pb / target.n2)
             + 0.5 * ps
-            - 0.5 * math.log(delta_fn(alpha, barred=True))
+            - 0.5 * math.log(delta(alpha, barred=True))
         )
     return AsymptoticEstimate(
         log_value=exponent + log_prefactor,

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .exact_count import PartSet, Target
-from .special_functions import ZETA2, phi, phi_derivatives, theta
+from .special_functions import ZETA2, _phi_and_derivatives, theta
 
 MAX_ITER = 200
 BISECTION_WIDTH = 1e-2
@@ -45,18 +45,16 @@ class CalibrationResult:
     residuals: tuple[float, float]  # relative defects of the two equations
 
 
-def _theta_prime(alpha: float, barred: bool) -> float:
-    """Derivative of Theta, from the differentiated series.
+def _theta_and_slope(alpha: float, barred: bool) -> tuple[float, float]:
+    """Theta and its derivative from one pass over (Phi, Phi', Phi'').
 
     Theta = -Phi'/sqrt(P) with P = Phi (+ pi^2/6 if barred), so
     Theta' = -Phi''/sqrt(P) + Phi' * Phi' / (2 P^{3/2}).
     """
-    p = phi(alpha)
+    p, dp, ddp = _phi_and_derivatives(alpha)
     if barred:
         p += ZETA2
-    dp = phi_derivatives(alpha, 1)
-    ddp = phi_derivatives(alpha, 2)
-    return -ddp / math.sqrt(p) + dp * dp / (2.0 * p**1.5)
+    return -dp / math.sqrt(p), -ddp / math.sqrt(p) + dp * dp / (2.0 * p**1.5)
 
 
 def solve_theta(t: float, barred: bool, rel_tol: float = 1e-12) -> float:
@@ -96,14 +94,15 @@ def solve_theta(t: float, barred: bool, rel_tol: float = 1e-12) -> float:
 
     a = 0.5 * (lo + hi)
     for _ in range(MAX_ITER):
-        fa = f(a)
+        value, slope = _theta_and_slope(a, barred)
+        fa = value - t
         if abs(fa) <= rel_tol * t:
             return a
         if fa > 0.0:
             lo = max(lo, a)
         else:
             hi = min(hi, a)
-        step = fa / _theta_prime(a, barred)
+        step = fa / slope
         candidate = a - step
         if not (lo < candidate < hi):
             candidate = 0.5 * (lo + hi)  # Newton overshoot: fall back
@@ -127,11 +126,11 @@ def calibrate(
     barred = part_set is PartSet.NONZERO_VECTORS
     t = target.n1 / math.sqrt(target.n2)
     alpha = solve_theta(t, barred, rel_tol)
-    p = phi(alpha)
+    p, dp, _ = _phi_and_derivatives(alpha)
     if barred:
         p += ZETA2
     beta = math.sqrt(p / target.n2)
-    r1 = abs(-phi_derivatives(alpha, 1) / beta - target.n1) / target.n1
+    r1 = abs(-dp / beta - target.n1) / target.n1
     r2 = abs(p / beta**2 - target.n2) / target.n2
     return CalibrationResult(
         params=ShapeParams(alpha=alpha, beta=beta),

@@ -122,10 +122,13 @@ def cmd_coeffs(args, out: IO[str]) -> None:
 def cmd_compare(args, out: IO[str]) -> None:
     part_set = PartSet.from_name(args.parts)
     grid = [int(v) for v in args.n2_grid.split(",") if v]
+    points = [(max(1, int(math.floor(args.t * math.sqrt(n2)))), n2) for n2 in grid]
     out.write("n2,n1,p_exact,log_pred,log_ratio\n")
-    for n2 in grid:
-        n1 = max(1, int(math.floor(args.t * math.sqrt(n2))))
-        table = count_table(part_set, n1, n2)
+    if not points:
+        return
+    # one table covers every grid point
+    table = count_table(part_set, max(p[0] for p in points), max(p[1] for p in points))
+    for n1, n2 in points:
         p_exact = table.get(n1, n2)
         est = theorem_estimate(Target(n1, n2), part_set)
         log_ratio = math.log(p_exact) - est.log_value

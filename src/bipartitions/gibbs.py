@@ -18,7 +18,7 @@ import numpy as np
 from .asymptotics import gibbs_covariance, gibbs_mean, log_z_direct
 from .calibration import ShapeParams, calibrate
 from .exact_count import CountTable, PartSet, Target, count_table
-from .special_functions import DEFAULT_TOL
+from .special_functions import DEFAULT_TOL, _geometric, _series
 
 
 class TruncationError(Exception):
@@ -55,10 +55,8 @@ def _retained_window(spec: SamplerSpec) -> tuple[int, int]:
     A = 1.0 / math.expm1(a)  # sum_{x>=1} e^{-a x}
     B = 1.0 / math.expm1(b)
     if spec.part_set is PartSet.STRICT_POSITIVE:
-        total = A * B
         row_masses = (A * B, A * B)
     else:
-        total = A * B + A + B
         row_masses = (A * B + A, A * B + B)
     budget = spec.tv_budget
     # e^{-a M1} * (interior row mass + axis tail) <= budget/2, same in x2
@@ -68,7 +66,6 @@ def _retained_window(spec: SamplerSpec) -> tuple[int, int]:
         raise TruncationError(
             f"truncated window {m1}x{m2} is too large for the parameter range"
         )
-    del total
     return m1, m2
 
 
@@ -124,9 +121,8 @@ def sample_batch(
     spec: SamplerSpec,
     reps: int,
     tracked_parts: tuple = (),
-    chunk: int = 2048,
 ) -> BatchResult:
-    """Independent replicas, chunked; replica i uses stream (seed, i).
+    """Independent replicas; replica i uses stream (seed, i).
 
     The replica streams match :func:`sample`, so any single replica of a
     batch can be reproduced in isolation.
@@ -170,32 +166,25 @@ def char_fn(
     """
     a, b = params.alpha, params.beta
     t1, t2 = t
+    nonzero = part_set is PartSet.NONZERO_VECTORS
 
-    def geom(s: complex, r: int) -> complex:
-        e = np.exp(-r * s)
-        return e / (1.0 - e)
+    def geom(s: complex, r: np.ndarray) -> np.ndarray:
+        # e^{-rs}/(1 - e^{-rs}) without cancellation or overflow, s real or complex
+        return np.exp(-r * s) / -np.expm1(-r * s)
 
-    log_phi = 0.0 + 0.0j
-    r = 1
-    q = math.exp(-(a + b))
-    q_axis = math.exp(-min(a, b))
-    while True:
-        ga = geom(a, r)
-        gb = geom(b, r)
-        gca = geom(a - 1j * t1, r)
-        gcb = geom(b - 1j * t2, r)
+    def block(r: np.ndarray) -> np.ndarray:
+        ga, gb = geom(a, r), geom(b, r)
+        gca, gcb = geom(complex(a, -t1), r), geom(complex(b, -t2), r)
         term = (gca * gcb - ga * gb) / r
-        bound = 2.0 * abs(gca * gcb) + 2.0 * ga * gb
-        if part_set is PartSet.NONZERO_VECTORS:
+        # |gca| <= ga and |gcb| <= gb, so the real second row majorises
+        # |term| and shrinks by e^{-(a+b)} per step (e^{-min(a,b)} with axes)
+        majorant = 2.0 * ga * gb / r
+        if nonzero:
             term += ((gca - ga) + (gcb - gb)) / r
-            bound += 2.0 * (abs(gca) + ga + abs(gcb) + gb)
-        log_phi += term
-        ratio = q_axis if part_set is PartSet.NONZERO_VECTORS else q
-        if bound * ratio / (1.0 - ratio) < tol:
-            break
-        r += 1
-        if r > 10_000_000:  # pragma: no cover
-            raise RuntimeError("characteristic-function series failed to converge")
+            majorant += 2.0 * (ga + gb) / r
+        return np.stack([term, majorant])
+
+    log_phi = _series(block, min(a, b) if nonzero else a + b, 0.0, tol)[0][0]
     return complex(np.exp(log_phi))
 
 
@@ -262,6 +251,17 @@ def _abs_cubic_geom_sum(c, d, y):
     return np.where((c < 0) & (d > 0), mixed, plain)
 
 
+def _axis_third_moments(rate: float, tol: float) -> float:
+    """sum_{x>=1} 3 x^3 q/(1-q)^3 = 3 x^3 G1 (1 + G0), q = e^{-rate x}: one axis
+    family's share of the third-moment bound, over every power of q at once."""
+
+    def block(x):
+        g0, g1, _ = _geometric(rate * x)
+        return 3.0 * x**3 * g1 * (1.0 + g0)
+
+    return _series(block, rate, 3.0, tol)[0][0]
+
+
 def _covariance_matrix(params: ShapeParams, part_set: PartSet) -> np.ndarray:
     return np.array(gibbs_covariance(params, part_set), dtype=float)
 
@@ -283,7 +283,8 @@ def lyapunov_bound(
 
     Third absolute moments use the Cauchy-Schwarz bound
     3 q / (1 - q)^3 with q = e^{-<lambda,x>}; (1-q)^{-3} is expanded as a
-    power series in q so every x2-sum reduces to closed geometric forms.
+    power series in q so every x2-sum reduces to closed geometric forms.  The
+    axis families of the nonzero set are summed over all powers at once.
     """
     a, b = params.alpha, params.beta
     gamma = _covariance_matrix(params, part_set)
@@ -297,8 +298,10 @@ def lyapunov_bound(
     x1 = np.arange(1, m1 + 1, dtype=float)
 
     totals = np.zeros(n_directions)
-    j = 0
-    while True:
+    if part_set is PartSet.NONZERO_VECTORS:
+        totals += np.abs(ts[:, 0]) ** 3 * _axis_third_moments(a, tol)
+        totals += np.abs(ts[:, 1]) ** 3 * _axis_third_moments(b, tol)
+    for j in range(10_001):
         k = j + 1.0
         weight = 3.0 * math.comb(j + 2, 2)
         y = math.exp(-k * b)
@@ -307,23 +310,10 @@ def lyapunov_bound(
         d = ts[:, 1:2] * np.ones_like(c)
         inner = _abs_cubic_geom_sum(c, d, np.full_like(c, y))
         increment = weight * (row_w[None, :] * inner).sum(axis=1)
-        if part_set is PartSet.NONZERO_VECTORS:
-            t0a, _, _, t3a = (
-                _geometric_moment_sums(np.array(math.exp(-k * a)), np.array(1.0))[i]
-                for i in (0, 1, 2, 3)
-            )
-            t3b = _geometric_moment_sums(np.array(y), np.array(1.0))[3]
-            increment = increment + weight * (
-                np.abs(ts[:, 0]) ** 3 * float(t3a) + np.abs(ts[:, 1]) ** 3 * float(t3b)
-            )
         totals += increment
-        peak = float(totals.max())
-        if float(increment.max()) < tol * max(peak, 1e-300):
-            break
-        j += 1
-        if j > 10_000:  # pragma: no cover
-            raise RuntimeError("Lyapunov expansion failed to converge")
-    return float(totals.max())
+        if float(increment.max()) < tol * max(float(totals.max()), 1e-300):
+            return float(totals.max())
+    raise RuntimeError("Lyapunov expansion failed to converge")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------

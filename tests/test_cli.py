@@ -1,11 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import math
 
 import pytest
 
+from bipartitions import cli
+from bipartitions.asymptotics import theorem_estimate
 from bipartitions.cli import main
-from bipartitions.exact_count import PartSet, count_table
+from bipartitions.exact_count import PartSet, Target, count_table
 
 
 def run(capsys, *argv):
@@ -114,6 +117,25 @@ class TestCompare:
         expected = count_table(PartSet.STRICT_POSITIVE, 5, 25).get(5, 25)
         assert int(p_exact) == expected
         float(log_pred), float(log_ratio)  # well-formed numbers
+
+    def test_one_table_for_the_grid(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(part_set, n1, n2):
+            calls.append((n1, n2))
+            return count_table(part_set, n1, n2)
+
+        monkeypatch.setattr(cli, "count_table", counting)
+        code, out, _ = run(capsys, "compare", "--parts", "nonzero", "--n2-grid", "36,64,16")
+        assert code == 0 and calls == [(8, 64)]
+        # the same rows from one table per grid point
+        expected = ["n2,n1,p_exact,log_pred,log_ratio"]
+        for n1, n2 in ((6, 36), (8, 64), (4, 16)):
+            p_exact = count_table(PartSet.NONZERO_VECTORS, n1, n2).get(n1, n2)
+            log_pred = theorem_estimate(Target(n1, n2), PartSet.NONZERO_VECTORS).log_value
+            log_ratio = math.log(p_exact) - log_pred
+            expected.append(f"{n2},{n1},{p_exact},{log_pred:.12g},{log_ratio:.12g}")
+        assert out.splitlines() == expected
 
 
 class TestSample:

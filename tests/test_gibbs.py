@@ -14,6 +14,8 @@ from bipartitions.gibbs import (
     SamplerSpec,
     TruncationError,
     _abs_cubic_geom_sum,
+    _axis_third_moments,
+    _geometric_moment_sums,
     char_fn,
     char_fn_bound,
     llt_check,
@@ -143,6 +145,23 @@ class TestLyapunov:
         strict = lyapunov_bound(cal.params, PartSet.STRICT_POSITIVE)
         nonzero = lyapunov_bound(cal.params, PartSet.NONZERO_VECTORS)
         assert nonzero > 0 and strict > 0
+
+    def test_axis_sum_matches_power_expansion(self):
+        # reference: the same share expanded over the powers j of q,
+        # (1 - q)^{-3} = sum_j C(j+2, 2) q^j, each x-sum in closed form
+        for rate in (PARAMS.alpha, PARAMS.beta):
+            expanded = math.fsum(
+                3.0 * math.comb(j + 2, 2) * float(
+                    _geometric_moment_sums(np.array(math.exp(-(j + 1) * rate)), np.array(1.0))[3]
+                )
+                for j in range(400)
+            )
+            assert _axis_third_moments(rate, 1e-12) == pytest.approx(expanded, rel=1e-12)
+        # the bound with the axis terms expanded in j gives this value
+        cal = calibrate(Target(10, 100), PartSet.NONZERO_VECTORS)
+        assert lyapunov_bound(cal.params, PartSet.NONZERO_VECTORS) == pytest.approx(
+            1.9944832977831637, rel=1e-9
+        )
 
 
 class TestLLT:
