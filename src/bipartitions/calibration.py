@@ -19,7 +19,7 @@ MAX_ITER = 200
 BISECTION_WIDTH = 1e-2
 
 
-class ConvergenceError(Exception):
+class ConvergenceError(ValueError):
     """Root search did not converge; carries the final bracket."""
 
     def __init__(self, message: str, bracket: tuple[float, float]):

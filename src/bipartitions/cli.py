@@ -16,13 +16,7 @@ from typing import IO
 
 from .asymptotics import rate_table, theorem_estimate
 from .exact_count import CellBudgetError, PartSet, Target, count_table
-from .formal_series import (
-    MAX_ORDER_BARRED,
-    MAX_ORDER_UNBARRED,
-    CoeffVariant,
-    corollary2_coeffs,
-    corollary3_coeffs,
-)
+from .formal_series import corollary2_coeffs, corollary3_coeffs
 from .gibbs import SamplerSpec, llt_check, sample
 
 
@@ -107,15 +101,8 @@ def cmd_count(args, out: IO[str]) -> None:
 
 
 def cmd_coeffs(args, out: IO[str]) -> None:
-    if args.variant == "c":
-        if not (1 <= args.order <= MAX_ORDER_UNBARRED):
-            raise ValueError(f"order must lie in [1, {MAX_ORDER_UNBARRED}]")
-        report = corollary2_coeffs(args.order)
-    else:
-        if not (1 <= args.order <= MAX_ORDER_BARRED):
-            raise ValueError(f"order must lie in [1, {MAX_ORDER_BARRED}]")
-        report = corollary3_coeffs(args.order)
-    for line in report.lines():
+    coeffs = corollary2_coeffs if args.variant == "c" else corollary3_coeffs
+    for line in coeffs(args.order).lines():
         out.write(line + "\n")
 
 

@@ -1,10 +1,10 @@
 """Exact arbitrary-precision counting of bipartite partitions.
 
 The main routine builds a dense table of counts p_X(a, b) for a <= n1,
-b <= n2 by an unbounded-knapsack dynamic program over the parts inside the
-bounding box, in a fixed deterministic order.  A recursive enumeration
-oracle and a one-dimensional partition counter serve as independent ground
-truth at small scale.
+b <= n2, one q2-row P_a per a, by the Euler-transform recurrence
+a P_a = sum_{i=1..a} M_i P_{a-i}, multiplying Kronecker-packed ints whose
+slots are certified wider than any coefficient.  A recursive enumeration
+oracle and a 1-D partition counter serve as independent ground truth.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from operator import add
 from typing import IO, Iterator
 
 
@@ -88,10 +87,11 @@ class CountTable:
 
 
 def parts_in_box(part_set: PartSet, n1: int, n2: int) -> list[tuple[int, int]]:
-    """All parts of the given set fitting in the box, in DP order.
+    """All parts of the given set fitting in the box, in lexicographic order.
 
-    Order is x1 ascending then x2 ascending, so for the nonzero set the
-    vertical axis parts (0, x2) come first.
+    x1 ascending then x2 ascending, so for the nonzero set the vertical axis
+    parts (0, x2) come first.  The tests pin this order; `count_naive` walks
+    it in reverse.
     """
     parts: list[tuple[int, int]] = []
     if part_set is PartSet.NONZERO_VECTORS:
@@ -106,7 +106,15 @@ def parts_in_box(part_set: PartSet, n1: int, n2: int) -> list[tuple[int, int]]:
 def count_table(
     part_set: PartSet, n1: int, n2: int, cell_budget: int | None = None
 ) -> CountTable:
-    """Exact count table by unbounded-knapsack DP over the parts in the box."""
+    """Exact count table by the Euler-transform row recurrence.
+
+    q1 d/dq1 of log F = sum_{x in X} sum_r q^{rx} / r, with F = sum_a P_a q1^a,
+    gives a P_a = sum_{i=1..a} M_i P_{a-i} with M_i[j] = sum_{d | gcd(i, j)} i/d
+    (part (i/d, j/d) taken d times).  The part set decides only P_0 (1, or the
+    1-D partition row for parts (0, x2)) and column 0 of M_i (parts (i/d, 0)).
+    Every coefficient is >= 0, so each slot of the packed sum is at most
+    sum_i |M_i|_1 max P_{a-i}: wider slots never carry, and each divides by a.
+    """
     if n1 < 0 or n2 < 0:
         raise ValueError("table bounds must be non-negative")
     budget = cell_budget if cell_budget is not None else _cell_budget()
@@ -116,36 +124,30 @@ def count_table(
             f"table of {cells} cells exceeds the cell budget {budget}"
         )
     W = n2 + 1
-    dp: list[list[int]] = [[0] * W for _ in range(n1 + 1)]
-    dp[0][0] = 1
+    axis = part_set is PartSet.NONZERO_VECTORS
+    weights = [[0] * W for _ in range(n1)]  # weights[i - 1] is M_i
+    for i, m in enumerate(weights, 1):
+        for d in range(1, i + 1):
+            if i % d == 0:
+                for j in range(0 if axis else d, W, d):
+                    m[j] += i // d
+    rows = [_partition_row(n2) if axis else [1] + [0] * n2]
+    for a in range(1, n1 + 1):
+        pairs = list(zip(weights, rows[::-1]))  # (M_i, P_{a-i}) for i = 1..a
+        # bytes per slot: 2^(8 size) exceeds sum_i |M_i|_1 max P_{a-i}
+        size = sum(sum(m) * max(p) for m, p in pairs).bit_length() // 8 + 1
+        total = sum(_pack(m, size) * _pack(p, size) for m, p in pairs)
+        # the bound holds for all 2W - 1 slots of the products, not only the low W
+        buf = total.to_bytes(2 * W * size, "little")
+        rows.append(
+            [int.from_bytes(buf[j * size : (j + 1) * size], "little") // a for j in range(W)]
+        )
+    return CountTable(part_set, n1, n2, tuple(map(tuple, rows)))
 
-    if part_set is PartSet.NONZERO_VECTORS:
-        # axis parts (0, x2): in-row update, increasing b for unbounded reuse
-        for x2 in range(1, n2 + 1):
-            for a in range(n1 + 1):
-                row = dp[a]
-                for b in range(x2, W):
-                    row[b] += row[b - x2]
 
-    for x1 in range(1, n1 + 1):
-        if part_set is PartSet.NONZERO_VECTORS:
-            # axis part (x1, 0): whole-row add from the already-updated row
-            for a in range(x1, n1 + 1):
-                dp[a] = list(map(add, dp[a], dp[a - x1]))
-        for x2 in range(1, n2 + 1):
-            # interior part (x1, x2): rows in increasing a so that the source
-            # row a - x1 is already final for this part (unbounded knapsack)
-            for a in range(x1, n1 + 1):
-                src = dp[a - x1]
-                dst = dp[a]
-                dst[x2:] = map(add, dst[x2:], src[: W - x2])
-
-    return CountTable(
-        part_set=part_set,
-        max1=n1,
-        max2=n2,
-        counts=tuple(tuple(row) for row in dp),
-    )
+def _pack(row: list[int], size: int) -> int:
+    """Kronecker substitution: row[j] goes to the j-th slot of `size` bytes."""
+    return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in row), "little")
 
 
 NAIVE_LIMIT = 8
@@ -176,13 +178,17 @@ def count_naive(part_set: PartSet, target: Target) -> int:
     return result
 
 
+def _partition_row(n: int) -> list[int]:
+    """1-D partition numbers p(0), ..., p(n), by the Euler DP."""
+    row = [1] + [0] * n
+    for k in range(1, n + 1):
+        for t in range(k, n + 1):
+            row[t] += row[t - k]
+    return row
+
+
 def count_1d(n: int) -> int:
     """Number of 1-D integer partitions p(n), by the Euler DP."""
     if n < 0:
         raise ValueError("count_1d requires n >= 0")
-    dp = [0] * (n + 1)
-    dp[0] = 1
-    for k in range(1, n + 1):
-        for t in range(k, n + 1):
-            dp[t] += dp[t - k]
-    return dp[n]
+    return _partition_row(n)[n]

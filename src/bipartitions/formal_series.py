@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Union
 
 from .special_functions import sigma2
 

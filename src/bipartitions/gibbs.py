@@ -21,7 +21,7 @@ from .exact_count import CountTable, PartSet, Target, count_table
 from .special_functions import DEFAULT_TOL, _geometric, _series
 
 
-class TruncationError(Exception):
+class TruncationError(ValueError):
     """The requested TV budget cannot be honoured."""
 
 
@@ -70,7 +70,7 @@ def _retained_window(spec: SamplerSpec) -> tuple[int, int]:
 
 
 def _window_parts(spec: SamplerSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays (x1, x2, <lambda, x>) over the retained parts, in DP order."""
+    """Arrays (x1, x2, <lambda, x>) over the retained parts, in `parts_in_box` order."""
     m1, m2 = _retained_window(spec)
     a, b = spec.params.alpha, spec.params.beta
     xs1 = []

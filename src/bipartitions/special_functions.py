@@ -75,7 +75,7 @@ def _series(block, decay: float, growth: float, tol: float):
             return sum(parts).tolist(), start + stop - 1, float(tails[stop - 1])
         start += size
         size = min(2 * size, _MAX_BLOCK)
-    raise RuntimeError("series failed to converge within the term cap")
+    raise ValueError("series failed to converge within the term cap")
 
 
 def _dirichlet_series(alpha: float, s: float, order: int, tol: float):

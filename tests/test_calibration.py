@@ -1,7 +1,5 @@
 """Unit tests for the shape-parameter calibration solver."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from bipartitions import cli
+from bipartitions import cli, special_functions
 from bipartitions.asymptotics import theorem_estimate
 from bipartitions.cli import main
 from bipartitions.exact_count import PartSet, Target, count_table
@@ -157,6 +157,23 @@ class TestSample:
         assert set(rep) == {"replica", "N", "multiplicities"}
         n1 = sum(x1 * m for x1, _, m in rep["multiplicities"])
         assert rep["N"][0] == n1
+
+    def test_truncation_error_is_reported(self, capsys):
+        code, out, err = run(
+            capsys, "sample", "--n1", "5", "--n2", "25", "--parts", "strict",
+            "--tv-budget", "0.5",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: tv_budget")
+
+    def test_series_term_cap_is_reported(self, capsys, monkeypatch):
+        # alpha ~ 1e-12 needs far more terms than the cap; a small cap fails fast
+        monkeypatch.setattr(special_functions, "_MAX_TERMS", 10_000)
+        code, out, err = run(
+            capsys, "sample", "--n1", "1000000000000", "--n2", "1", "--parts", "strict"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: series failed to converge")
 
 
 class TestLLT:

@@ -1,5 +1,6 @@
-"""Unit tests for the exact counting dynamic program and its oracles."""
+"""Unit tests for the exact counting recurrence and its oracles."""
 
+import hashlib
 import io
 
 import pytest
@@ -59,6 +60,8 @@ class TestTableBasics:
     def test_nonzero_axis_rows_are_1d_partitions(self):
         t = count_table(PartSet.NONZERO_VECTORS, 0, 10)
         assert [t.get(0, b) for b in range(11)] == P1D
+        t = count_table(PartSet.NONZERO_VECTORS, 10, 0)
+        assert [t.get(a, 0) for a in range(11)] == P1D
 
     def test_strict_thin_rows(self):
         # a single unit of the first coordinate forces one part (1, n)
@@ -66,6 +69,10 @@ class TestTableBasics:
         assert all(t.get(1, n) == 1 for n in range(1, 13))
         # two units: either one part (2, n) or a split (1, a) + (1, n - a)
         assert all(t.get(2, n) == n // 2 + 1 for n in range(1, 13))
+        # with one coordinate zero only the empty partition remains
+        for n1, n2 in [(0, 5), (5, 0)]:
+            t = count_table(PartSet.STRICT_POSITIVE, n1, n2)
+            assert [c for _, _, c in t.rows()] == [1] + [0] * 5
 
     def test_transpose_symmetry(self):
         for ps in PartSet:
@@ -80,6 +87,24 @@ class TestTableBasics:
             for a in range(6):
                 for b in range(6):
                     assert t.get(a, b) == count_naive(ps, Target(a, b))
+
+
+class TestGoldenTables:
+    # sha256 of the CSV dump at (20, 424), frozen from the knapsack DP that
+    # the row recurrence replaced
+    @pytest.mark.parametrize(
+        "part_set, digest",
+        [
+            (PartSet.STRICT_POSITIVE,
+             "9b16f948ebe671fdccae48e67dda8755ee0f0888dd9c07391aa0619188d44007"),
+            (PartSet.NONZERO_VECTORS,
+             "c147d7077213aa3a83fbb896856ba100fc6842fdd487044327d4858f1f5b9291"),
+        ],
+    )
+    def test_full_table_digest(self, part_set, digest):
+        buf = io.StringIO()
+        count_table(part_set, 20, 424).to_csv(buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
 class TestConvolutionIdentity:
