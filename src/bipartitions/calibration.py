@@ -1,10 +1,9 @@
 """Calibration of the Gibbs shape parameters.
 
 Solves the implicit equation Theta(alpha) = n1/sqrt(n2) (barred variant for
-the part set with axis parts) by bracketed bisection followed by Newton
-refinement, then sets beta from the second-moment equation.  Theta is
-strictly decreasing from +infinity to 0, so a bracket always exists and can
-be found by geometric expansion.
+the part set with axis parts) by a safeguarded Newton loop, then sets beta
+from the second-moment equation.  Theta is strictly decreasing from +infinity
+to 0, so a bracket always exists and can be found by geometric expansion.
 """
 
 from __future__ import annotations
@@ -13,10 +12,9 @@ import math
 from dataclasses import dataclass
 
 from .exact_count import PartSet, Target
-from .special_functions import ZETA2, _phi_and_derivatives, theta
+from .special_functions import ZETA2, _phi_and_derivatives
 
 MAX_ITER = 200
-BISECTION_WIDTH = 1e-2
 
 
 class ConvergenceError(ValueError):
@@ -49,63 +47,48 @@ def _theta_and_slope(alpha: float, barred: bool) -> tuple[float, float]:
     """Theta and its derivative from one pass over (Phi, Phi', Phi'').
 
     Theta = -Phi'/sqrt(P) with P = Phi (+ pi^2/6 if barred), so
-    Theta' = -Phi''/sqrt(P) + Phi' * Phi' / (2 P^{3/2}).
+    Theta' = -Phi''/sqrt(P) - Theta Phi'/(2P); no power of P is formed, as
+    P^{3/2} underflows long before P does (P ~ e^{-alpha} for large alpha).
     """
     p, dp, ddp = _phi_and_derivatives(alpha)
     if barred:
         p += ZETA2
-    return -dp / math.sqrt(p), -ddp / math.sqrt(p) + dp * dp / (2.0 * p**1.5)
+    root = math.sqrt(p)
+    value = -dp / root
+    return value, -ddp / root - value * dp / (2.0 * p)
 
 
 def solve_theta(t: float, barred: bool, rel_tol: float = 1e-12) -> float:
-    """Unique alpha > 0 with Theta(alpha) = t (barred variant if asked)."""
+    """Unique alpha > 0 with Theta(alpha) = t (barred variant if asked).
+
+    One safeguarded Newton loop from alpha = 1.  Theta decreases from +inf to
+    0, so every evaluation narrows the bracket (lo, hi) around the root.
+    While a side of the bracket is still unknown alpha doubles or halves;
+    after that a Newton step that leaves the bracket is replaced by bisection.
+    """
     if not (t > 0 and math.isfinite(t)):
         raise ValueError(f"target ratio must be a positive real, got {t!r}")
-
-    def f(a: float) -> float:
-        return theta(a, barred) - t
-
-    # geometric expansion from alpha = 1: Theta decreases from +inf to 0
-    lo = hi = 1.0
-    if f(1.0) > 0.0:
-        while f(hi) > 0.0:
-            lo = hi
-            hi *= 2.0
-            if hi > 1e6:
-                raise ConvergenceError("bracket expansion failed upward", (lo, hi))
-    else:
-        while f(lo) <= 0.0:
-            hi = lo
-            lo /= 2.0
-            if lo < 1e-12:
-                raise ConvergenceError("bracket expansion failed downward", (lo, hi))
-
-    # bisect to a narrow bracket, then Newton with bisection fallback
-    iterations = 0
-    while hi - lo > BISECTION_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-        if iterations > MAX_ITER:
-            raise ConvergenceError("bisection iteration cap exceeded", (lo, hi))
-
-    a = 0.5 * (lo + hi)
+    lo, hi = 0.0, math.inf
+    a = 1.0
     for _ in range(MAX_ITER):
+        if not (1e-12 <= a <= 1e6):
+            raise ConvergenceError("root lies outside [1e-12, 1e6]", (lo, hi))
         value, slope = _theta_and_slope(a, barred)
         fa = value - t
         if abs(fa) <= rel_tol * t:
             return a
         if fa > 0.0:
-            lo = max(lo, a)
+            lo = a
         else:
-            hi = min(hi, a)
-        step = fa / slope
-        candidate = a - step
-        if not (lo < candidate < hi):
-            candidate = 0.5 * (lo + hi)  # Newton overshoot: fall back
+            hi = a
+        if hi == math.inf:
+            candidate = 2.0 * a
+        elif lo == 0.0:
+            candidate = 0.5 * a
+        else:
+            candidate = a - fa / slope
+            if not (lo < candidate < hi):
+                candidate = 0.5 * (lo + hi)  # Newton overshoot: bisect
         if candidate == a:
             return a
         a = candidate

@@ -114,6 +114,9 @@ def count_table(
     1-D partition row for parts (0, x2)) and column 0 of M_i (parts (i/d, 0)).
     Every coefficient is >= 0, so each slot of the packed sum is at most
     sum_i |M_i|_1 max P_{a-i}: wider slots never carry, and each divides by a.
+    The cost grows like n1^2 n2, so a thin table with n1 > n2 is built as the
+    (n2, n1) table and transposed: both part sets are symmetric under
+    (x1, x2) -> (x2, x1).
     """
     if n1 < 0 or n2 < 0:
         raise ValueError("table bounds must be non-negative")
@@ -123,6 +126,13 @@ def count_table(
         raise CellBudgetError(
             f"table of {cells} cells exceeds the cell budget {budget}"
         )
+    rows = _count_rows(part_set, min(n1, n2), max(n1, n2))
+    counts = tuple(zip(*rows)) if n1 > n2 else tuple(map(tuple, rows))
+    return CountTable(part_set, n1, n2, counts)
+
+
+def _count_rows(part_set: PartSet, n1: int, n2: int) -> list[list[int]]:
+    """Rows P_0 .. P_n1 of the table, by the recurrence of `count_table`."""
     W = n2 + 1
     axis = part_set is PartSet.NONZERO_VECTORS
     weights = [[0] * W for _ in range(n1)]  # weights[i - 1] is M_i
@@ -142,7 +152,7 @@ def count_table(
         rows.append(
             [int.from_bytes(buf[j * size : (j + 1) * size], "little") // a for j in range(W)]
         )
-    return CountTable(part_set, n1, n2, tuple(map(tuple, rows)))
+    return rows
 
 
 def _pack(row: list[int], size: int) -> int:

@@ -1,21 +1,23 @@
-"""Truncated formal power series over exact coefficient rings.
+"""Truncated formal power series with exact coefficients.
 
-Two rings are supported: plain rationals, and Laurent polynomials in a
-single symbol ``a`` with rational coefficients (``a`` stands for the square
-root of zeta(2) and is never substituted numerically here).  On top of the
-series arithmetic, this module derives the exact correction coefficients of
-the two explicit counting expansions: the rational sequence ``c_k`` and the
-Laurent sequence ``cbar_k``.
+A series is a tuple of coefficients, each a Fraction or a LaurentA: a
+Laurent polynomial with rational coefficients in one symbol ``a`` (``a``
+stands for the square root of zeta(2) and is never substituted numerically
+here).  Series arithmetic uses only the coefficients' own ``+ - * ==`` and
+``Fraction(1) / c``, so Fractions and Laurent polynomials mix freely and no
+ring object is needed.  On top of it, this module derives the exact
+correction coefficients of the two explicit counting expansions: the
+rational sequence ``c_k`` and the Laurent sequence ``cbar_k``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .special_functions import sigma2
+
+ZERO = Fraction(0)
 
 
 class AlgebraError(Exception):
@@ -74,16 +76,10 @@ class LaurentA:
         return LaurentA({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -106,22 +102,16 @@ class LaurentA:
         return LaurentA({-e: 1 / c})
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division of Laurent element by zero")
-            return LaurentA({e: c / other for e, c in self.coeffs.items()})
-        if isinstance(other, LaurentA):
-            return self * other.inverse()
-        return NotImplemented
+        return self * (Fraction(1) / other)
+
+    def __rtruediv__(self, other):
+        return other * self.inverse()
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def __repr__(self):
         return f"LaurentA({self.coeffs!r})"
@@ -147,37 +137,6 @@ def format_laurent(value: LaurentA) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient rings
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Ring:
-    """Minimal ring descriptor: constants plus coercion from rationals."""
-
-    name: str
-    zero: object
-    one: object
-    coerce: object  # callable rational -> ring element
-
-    def invert(self, x):
-        if isinstance(x, Fraction):
-            if x == 0:
-                raise AlgebraError("zero is not invertible")
-            return 1 / x
-        return x.inverse()
-
-
-RATIONALS = Ring("Q", Fraction(0), Fraction(1), Fraction)
-LAURENT = Ring(
-    "Q[a, 1/a]",
-    LaurentA(),
-    LaurentA.from_rational(1),
-    LaurentA.from_rational,
-)
-
-
-# ---------------------------------------------------------------------------
 # Dense truncated series
 # ---------------------------------------------------------------------------
 
@@ -185,10 +144,9 @@ LAURENT = Ring(
 class Series:
     """Dense power series truncated at a fixed order K (K+1 coefficients)."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, ring: Ring, coeffs):
-        self.ring = ring
+    def __init__(self, coeffs):
         self.coeffs = tuple(coeffs)
         if not self.coeffs:
             raise ValueError("a series needs at least the constant coefficient")
@@ -198,172 +156,122 @@ class Series:
         return len(self.coeffs) - 1
 
     @classmethod
-    def zero(cls, ring: Ring, order: int) -> "Series":
-        return cls(ring, [ring.zero] * (order + 1))
+    def constant(cls, value, order: int) -> "Series":
+        return cls((value,) + (ZERO,) * order)
 
     @classmethod
-    def constant(cls, ring: Ring, value, order: int) -> "Series":
-        coeffs = [ring.zero] * (order + 1)
-        coeffs[0] = value
-        return cls(ring, coeffs)
-
-    @classmethod
-    def variable(cls, ring: Ring, order: int) -> "Series":
-        coeffs = [ring.zero] * (order + 1)
-        if order >= 1:
-            coeffs[1] = ring.one
-        return cls(ring, coeffs)
-
-    def __getitem__(self, k: int):
-        return self.coeffs[k]
+    def variable(cls, order: int) -> "Series":
+        return cls((ZERO, Fraction(1))[: order + 1] + (ZERO,) * (order - 1))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Series)
-            and self.ring is other.ring
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.ring.name, self.coeffs))
+        return isinstance(other, Series) and self.coeffs == other.coeffs
 
     def __repr__(self):
-        return f"Series({self.ring.name}, {list(self.coeffs)!r})"
+        return f"Series({list(self.coeffs)!r})"
 
-    # -- ring operations ----------------------------------------------------
+    # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Series") -> "Series":
         self._check(other)
-        return Series(self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return Series(a + b for a, b in zip(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "Series") -> "Series":
         self._check(other)
-        return Series(self.ring, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return Series(a - b for a, b in zip(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "Series":
-        return Series(self.ring, [-a for a in self.coeffs])
+        return Series(-a for a in self.coeffs)
 
     def __mul__(self, other: "Series") -> "Series":
         self._check(other)
-        K = self.order
-        out = [self.ring.zero] * (K + 1)
+        out = [ZERO] * len(self.coeffs)
         for i, a in enumerate(self.coeffs):
-            if a == self.ring.zero:
-                continue
-            for j in range(K + 1 - i):
-                b = other.coeffs[j]
-                if b != self.ring.zero:
-                    out[i + j] = out[i + j] + a * b
-        return Series(self.ring, out)
+            if a != 0:
+                for j, b in enumerate(other.coeffs[: len(out) - i]):
+                    if b != 0:
+                        out[i + j] += a * b
+        return Series(out)
 
     def _check(self, other: "Series") -> None:
-        if not isinstance(other, Series) or other.ring is not self.ring:
-            raise TypeError("series ring mismatch")
         if other.order != self.order:
             raise ValueError("series truncation order mismatch")
 
+    def truncate(self, order: int) -> "Series":
+        return Series(self.coeffs[: order + 1])
+
     def scale(self, scalar) -> "Series":
-        """Multiply every coefficient by a ring element or rational."""
-        return Series(self.ring, [c * scalar for c in self.coeffs])
+        """Multiply every coefficient by a scalar (Fraction or LaurentA)."""
+        return Series(c * scalar for c in self.coeffs)
 
     def shift(self, k: int) -> "Series":
         """Multiply by z^k (k >= 0) or divide by z^{-k}, checking exactness."""
+        n = len(self.coeffs)
         if k >= 0:
-            return Series(
-                self.ring, ([self.ring.zero] * k + list(self.coeffs))[: self.order + 1]
-            )
-        drop = -k
-        for j in range(min(drop, self.order + 1)):
-            if self.coeffs[j] != self.ring.zero:
-                raise AlgebraError(f"series is not divisible by z^{drop}")
-        return Series(
-            self.ring, list(self.coeffs[drop:]) + [self.ring.zero] * drop
-        )
+            return Series(((ZERO,) * k + self.coeffs)[:n])
+        if any(c != 0 for c in self.coeffs[:-k]):
+            raise AlgebraError(f"series is not divisible by z^{-k}")
+        return Series((self.coeffs + (ZERO,) * -k)[-k:])
 
     def derivative(self) -> "Series":
         """Formal derivative, truncated back to the same order."""
-        out = [
-            self.coeffs[k + 1] * Fraction(k + 1) for k in range(self.order)
-        ]
-        out.append(self.ring.zero)
-        return Series(self.ring, out)
+        return Series([c * k for k, c in enumerate(self.coeffs) if k] + [ZERO])
 
     def inverse(self) -> "Series":
-        """Multiplicative inverse; the constant term must be ring-invertible."""
-        inv0 = self.ring.invert(self.coeffs[0])
-        K = self.order
-        out = [self.ring.zero] * (K + 1)
-        out[0] = inv0
-        for n in range(1, K + 1):
-            acc = self.ring.zero
-            for j in range(1, n + 1):
-                acc = acc + self.coeffs[j] * out[n - j]
-            out[n] = -(inv0 * acc)
-        return Series(self.ring, out)
-
-    def __truediv__(self, other: "Series") -> "Series":
-        return self * other.inverse()
+        """Multiplicative inverse; the constant term must be invertible."""
+        c = self.coeffs
+        inv0 = Fraction(1) / c[0]
+        out = [inv0]
+        for n in range(1, len(c)):
+            acc = sum((c[j] * out[n - j] for j in range(1, n + 1)), ZERO)
+            out.append(-inv0 * acc)
+        return Series(out)
 
     def sqrt_of_unit(self) -> "Series":
         """Square root of a series with constant term exactly one."""
-        if self.coeffs[0] != self.ring.one:
+        if self.coeffs[0] != 1:
             raise AlgebraError("sqrt_of_unit requires constant term 1")
-        # binomial series applied to u = self - 1 via the recurrence
-        # s_{n} from s^2 = self: 2 s0 s_n = c_n - sum_{j=1}^{n-1} s_j s_{n-j}
-        K = self.order
-        out = [self.ring.zero] * (K + 1)
-        out[0] = self.ring.one
-        for n in range(1, K + 1):
-            acc = self.ring.zero
-            for j in range(1, n):
-                acc = acc + out[j] * out[n - j]
-            out[n] = (self.coeffs[n] - acc) * Fraction(1, 2)
-        return Series(self.ring, out)
+        # s^2 = self with s_0 = 1: 2 s_n = c_n - sum_{j=1}^{n-1} s_j s_{n-j}
+        out = [Fraction(1)]
+        for n in range(1, len(self.coeffs)):
+            acc = sum((out[j] * out[n - j] for j in range(1, n)), ZERO)
+            out.append((self.coeffs[n] - acc) / 2)
+        return Series(out)
 
     def log_of_unit(self) -> "Series":
         """Logarithm of a series with constant term exactly one.
 
         Uses log' = self'/self so only rational scalars are introduced.
         """
-        if self.coeffs[0] != self.ring.one:
+        if self.coeffs[0] != 1:
             raise AlgebraError("log_of_unit requires constant term 1")
-        d = self.derivative() * self.inverse()
-        out = [self.ring.zero] * (self.order + 1)
-        for k in range(1, self.order + 1):
-            out[k] = d.coeffs[k - 1] * Fraction(1, k)
-        return Series(self.ring, out)
+        d = (self.derivative() * self.inverse()).coeffs
+        return Series([ZERO] + [d[k - 1] / k for k in range(1, len(d))])
 
     def compose(self, inner: "Series") -> "Series":
-        """self(inner); inner must have zero constant term for exactness."""
-        self._check(inner)
-        if inner.coeffs[0] != self.ring.zero:
+        """self(inner) at inner's order; inner must have zero constant term."""
+        if inner.coeffs[0] != 0:
             raise AlgebraError("composition requires zero constant term")
-        K = self.order
-        result = Series.constant(self.ring, self.coeffs[K], K)
-        for k in range(K - 1, -1, -1):  # Horner
-            result = result * inner + Series.constant(self.ring, self.coeffs[k], K)
+        K = inner.order
+        outer = self.coeffs[: K + 1]
+        result = Series.constant(outer[-1], K)
+        for c in reversed(outer[:-1]):  # Horner
+            result = result * inner + Series.constant(c, K)
         return result
 
     def reverse(self) -> "Series":
         """Compositional inverse: z(w) with self(z(w)) = w.
 
-        Requires zero constant term and a ring-invertible linear term.
-        Newton iteration z <- z - (self(z) - w)/(self'(z)) in the w-ring.
+        Requires zero constant term and an invertible linear term g1.  Each
+        step of z <- z + (w - self(z))/g1 fixes one more coefficient (Brent &
+        Kung, J. ACM 1978), so order - 1 steps from z = w/g1 are exact.
         """
-        if self.coeffs[0] != self.ring.zero:
+        if self.coeffs[0] != 0:
             raise AlgebraError("reversion requires zero constant term")
-        inv1 = self.ring.invert(self.coeffs[1])
-        K = self.order
-        w = Series.variable(self.ring, K)
-        d = self.derivative()
+        inv1 = Fraction(1) / self.coeffs[1]
+        w = Series.variable(self.order)
         z = w.scale(inv1)
-        for _ in range(max(1, math.ceil(math.log2(K + 1))) + 1):
-            num = self.compose(z) - w
-            den = d.compose(z)
-            z_next = z - num * den.inverse()
-            if z_next == z:
-                break
-            z = z_next
+        for _ in range(self.order - 1):
+            z = z + (w - self.compose(z)).scale(inv1)
         return z
 
 
@@ -372,37 +280,22 @@ class Series:
 # ---------------------------------------------------------------------------
 
 
-class CoeffVariant(Enum):
-    UNBARRED = "c"
-    BARRED = "cbar"
-
-
 @dataclass(frozen=True)
 class CoeffReport:
-    variant: CoeffVariant
+    label: str  # "c" or "cbar"
     order: int
-    coefficients: tuple  # Fractions (unbarred) or LaurentA (barred)
+    coefficients: tuple  # Fractions (c) or LaurentA (cbar)
 
     def lines(self) -> list[str]:
         """Golden-file textual form, one coefficient per line."""
-        label = "c" if self.variant is CoeffVariant.UNBARRED else "cbar"
-        out = []
-        for k, c in enumerate(self.coefficients, start=1):
-            if isinstance(c, LaurentA):
-                out.append(f"{label}_{k} = {format_laurent(c)}")
-            else:
-                out.append(f"{label}_{k} = {c}")
-        return out
+        return [f"{self.label}_{k} = {c}" for k, c in enumerate(self.coefficients, 1)]
 
 
-def build_f(K: int, ring: Ring = RATIONALS) -> Series:
+def build_f(K: int) -> Series:
     """f(z) = sum_{m>=1} sigma2(m)/m^2 z^m, truncated at order K."""
     if K < 1:
         raise ValueError("build_f requires K >= 1")
-    coeffs = [ring.zero]
-    for m in range(1, K + 1):
-        coeffs.append(ring.coerce(Fraction(sigma2(m), m * m)))
-    return Series(ring, coeffs)
+    return Series([ZERO] + [Fraction(sigma2(m), m * m) for m in range(1, K + 1)])
 
 
 MAX_ORDER_UNBARRED = 8
@@ -418,43 +311,29 @@ def corollary2_coeffs(K: int) -> CoeffReport:
     """
     if not (1 <= K <= MAX_ORDER_UNBARRED):
         raise ValueError(f"order must lie in [1, {MAX_ORDER_UNBARRED}]")
-    ring = RATIONALS
-    N = K  # working truncation order in w
-    f = build_f(N + 1, ring)
+    f = build_f(K + 1)
 
     # f = z*F, z f' = z*F2 with F, F2 units; g = z * F2^2 / F
     F = f.shift(-1)
     F2 = f.derivative()  # = (z f')/z directly
-    g = (F2 * F2 * F.inverse()).shift(1)
-    g = Series(ring, g.coeffs[: N + 1])
+    g = (F2 * F2 * F.inverse()).shift(1).truncate(K)
 
     z_of_w = g.reverse()
     unit = z_of_w.shift(-1)  # z(w)/w, constant term 1
-    f_at = f_compose(f, z_of_w)
-    inner = f_at.shift(-1)  # f(z(w))/w, constant term 1
-    E_shifted = -(unit.log_of_unit()) + inner.sqrt_of_unit().scale(Fraction(2))
+    inner = f.compose(z_of_w).shift(-1)  # f(z(w))/w, constant term 1
+    E_shifted = -(unit.log_of_unit()) + inner.sqrt_of_unit().scale(2)
     # E_shifted = E(w) + log w; subtract the Stirling constant 2
-    if E_shifted.coeffs[0] != ring.coerce(2):
+    if E_shifted.coeffs[0] != 2:
         raise AlgebraError(
             "order-0 coefficient failed to reduce to the Stirling constant"
         )
-    return CoeffReport(
-        variant=CoeffVariant.UNBARRED,
-        order=K,
-        coefficients=tuple(E_shifted.coeffs[1:K]),
-    )
-
-
-def f_compose(outer: Series, inner: Series) -> Series:
-    """Compose after aligning truncation orders (inner decides)."""
-    trimmed = Series(outer.ring, outer.coeffs[: inner.order + 1])
-    return trimmed.compose(inner)
+    return CoeffReport(label="c", order=K, coefficients=E_shifted.coeffs[1:K])
 
 
 def corollary3_coeffs(K: int) -> CoeffReport:
     """Laurent-polynomial coefficients cbar_1 .. cbar_{K-1} (symbol a).
 
-    Over the Laurent ring: fbar = a^2 + f; solve (z f'(z))^2 / fbar = w^2
+    With fbar = a^2 + f: solve (z f'(z))^2 / fbar = w^2
     for z(w) with leading term a*w via the square root
     G(z) = z f'(z)/sqrt(fbar(z)) and reversion of G; then
     Ebar(w) = -log z(w) + (2 sqrt(fbar(z(w))) - 2a)/w and
@@ -463,42 +342,27 @@ def corollary3_coeffs(K: int) -> CoeffReport:
     """
     if not (1 <= K <= MAX_ORDER_BARRED):
         raise ValueError(f"order must lie in [1, {MAX_ORDER_BARRED}]")
-    ring = LAURENT
-    N = K
     a = LaurentA.monomial(1, 1)
-    a2 = LaurentA.monomial(1, 2)
     inv_a2 = LaurentA.monomial(1, -2)
 
-    f = build_f(N + 1, ring)
-    fbar = f + Series.constant(ring, a2, f.order)
+    f = build_f(K + 1)
     # sqrt(fbar) = a * sqrt(1 + f/a^2)
-    sqrt_fbar = f.scale(inv_a2)
-    sqrt_fbar = (
-        sqrt_fbar + Series.constant(ring, ring.one, f.order)
-    ).sqrt_of_unit().scale(a)
-    zfp = f.derivative().shift(1)  # z f'(z)
-    G = zfp * sqrt_fbar.inverse()
-    G = Series(ring, G.coeffs[: N + 1])
+    one = Series.constant(Fraction(1), f.order)
+    sqrt_fbar = (f.scale(inv_a2) + one).sqrt_of_unit().scale(a)
+    G = (f.derivative().shift(1) * sqrt_fbar.inverse()).truncate(K)
 
     z_of_w = G.reverse()  # leading coefficient a
-    unit = z_of_w.shift(-1).scale(LaurentA.monomial(1, -1))  # z(w)/(a w)
-    if unit.coeffs[0] != ring.one:
+    unit = z_of_w.shift(-1).scale(1 / a)  # z(w)/(a w)
+    if unit.coeffs[0] != 1:
         raise AlgebraError("reversion did not produce the expected leading term")
 
-    f_at = f_compose(f, z_of_w)
     # (2 sqrt(fbar(z(w))) - 2a)/w over the w-ring
-    sq = f_at.scale(inv_a2)
-    sq = (sq + Series.constant(ring, ring.one, sq.order)).sqrt_of_unit()
-    correction = (
-        (sq - Series.constant(ring, ring.one, sq.order)).scale(a * Fraction(2))
-    ).shift(-1)
+    one = one.truncate(K)
+    sq = (f.compose(z_of_w).scale(inv_a2) + one).sqrt_of_unit()
+    correction = (sq - one).scale(2 * a).shift(-1)
 
     # Ebar + log w + log a = -log(z/(a w)) + correction
     total = -(unit.log_of_unit()) + correction
-    if total.coeffs[0] != ring.one:
+    if total.coeffs[0] != 1:
         raise AlgebraError("order-0 coefficient failed to cancel the log terms")
-    return CoeffReport(
-        variant=CoeffVariant.BARRED,
-        order=K,
-        coefficients=tuple(total.coeffs[1:K]),
-    )
+    return CoeffReport(label="cbar", order=K, coefficients=total.coeffs[1:K])

@@ -273,23 +273,28 @@ def _inv_sqrt(matrix: np.ndarray) -> np.ndarray:
     return (v * (1.0 / np.sqrt(w))) @ v.T
 
 
-def lyapunov_bound(
-    params: ShapeParams,
-    part_set: PartSet,
-    tol: float = 1e-10,
-    n_directions: int = 360,
-) -> float:
+N_DIRECTIONS = 360  # directions on the half circle; must stay even (see lyapunov_bound)
+
+
+def lyapunov_bound(params: ShapeParams, part_set: PartSet, tol: float = 1e-10) -> float:
     """Upper bound on the scale-free Lyapunov ratio over a direction grid.
 
     Third absolute moments use the Cauchy-Schwarz bound
     3 q / (1 - q)^3 with q = e^{-<lambda,x>}; (1-q)^{-3} is expanded as a
     power series in q so every x2-sum reduces to closed geometric forms.  The
     axis families of the nonzero set are summed over all powers at once.
+    The x1-row budget and the number of powers grow like 1/alpha, so for
+    alpha < beta the bound is evaluated at (beta, alpha).  The value is the
+    same: both part sets are symmetric under (x1, x2) -> (x2, x1), and the
+    grid of N_DIRECTIONS angles pi k / N maps onto itself under the swap
+    (theta -> pi/2 - theta) only because N_DIRECTIONS is even; it must stay so.
     """
+    if params.alpha < params.beta:
+        params = ShapeParams(params.beta, params.alpha)
     a, b = params.alpha, params.beta
     gamma = _covariance_matrix(params, part_set)
     whiten = _inv_sqrt(gamma)
-    angles = np.pi * np.arange(n_directions) / n_directions
+    angles = np.pi * np.arange(N_DIRECTIONS) / N_DIRECTIONS
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     ts = dirs @ whiten.T  # rows t with ||Gamma^{1/2} t|| = 1
 
@@ -297,7 +302,7 @@ def lyapunov_bound(
     m1 = int(math.ceil((50.0 + 4.0 * abs(math.log(b))) / a)) + 4
     x1 = np.arange(1, m1 + 1, dtype=float)
 
-    totals = np.zeros(n_directions)
+    totals = np.zeros(N_DIRECTIONS)
     if part_set is PartSet.NONZERO_VECTORS:
         totals += np.abs(ts[:, 0]) ** 3 * _axis_third_moments(a, tol)
         totals += np.abs(ts[:, 1]) ** 3 * _axis_third_moments(b, tol)

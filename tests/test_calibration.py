@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bipartitions import calibration, special_functions
 from bipartitions.asymptotics import gibbs_mean
 from bipartitions.calibration import (
     ShapeParams,
@@ -12,7 +13,7 @@ from bipartitions.calibration import (
     solve_theta,
 )
 from bipartitions.exact_count import PartSet, Target
-from bipartitions.special_functions import theta
+from bipartitions.special_functions import _phi_and_derivatives, theta
 
 
 class TestSolveTheta:
@@ -29,6 +30,29 @@ class TestSolveTheta:
         # Theta falls from +inf to 0, so its inverse falls as well
         alphas = [solve_theta(t, False) for t in (0.1, 0.5, 1.0, 5.0, 20.0)]
         assert alphas == sorted(alphas, reverse=True)
+
+    @pytest.mark.parametrize("barred", [False, True])
+    def test_tiny_ratio(self, barred):
+        # the strict root (alpha ~ 460) lies where Phi^{3/2} has underflowed
+        alpha = solve_theta(1e-100, barred)
+        assert theta(alpha, barred) == pytest.approx(1e-100, rel=1e-10)
+
+    def test_series_passes(self, monkeypatch):
+        # the 100-point default `bipart rates` grid plus three extreme ratios,
+        # both variants: 206 solves in fewer than 2000 (Phi, Phi', Phi'') passes
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return _phi_and_derivatives(*args, **kwargs)
+
+        monkeypatch.setattr(special_functions, "_phi_and_derivatives", counted)
+        monkeypatch.setattr(calibration, "_phi_and_derivatives", counted)
+        grid = [0.01 + i * (4.0 - 0.01) / 99 for i in range(100)] + [1e-3, 50.0, 1e5]
+        roots = [(t, b, solve_theta(t, b)) for b in (False, True) for t in grid]
+        assert len(calls) < 2000
+        for t, barred, alpha in roots:
+            assert theta(alpha, barred) == pytest.approx(t, rel=1e-10)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_domain(self, bad):

@@ -107,6 +107,43 @@ class TestGoldenTables:
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
+def pentagonal_partitions(n: int) -> list[int]:
+    """p(0), ..., p(n) by Euler's pentagonal-number recurrence."""
+    p = [1] + [0] * n
+    for m in range(1, n + 1):
+        k = 1
+        while (g := k * (3 * k - 1) // 2) <= m:
+            sign = 1 if k % 2 else -1
+            p[m] += sign * (p[m - g] + (p[m - g - k] if g + k <= m else 0))
+            k += 1
+    return p
+
+
+class TestThinTables:
+    # n1 >> n2: closed forms that do not depend on how the table is built
+    def test_strict_columns(self):
+        t = count_table(PartSet.STRICT_POSITIVE, 3000, 2)
+        assert t.counts[0] == (1, 0, 0)
+        assert all(t.get(a, 0) == 0 for a in range(1, 3001))
+        # b = 1 forces one part (a, 1); b = 2 is (a, 2) or (c, 1) + (a - c, 1)
+        assert all(t.get(a, 1) == 1 for a in range(1, 3001))
+        assert all(t.get(a, 2) == a // 2 + 1 for a in range(1, 3001))
+
+    def test_nonzero_axes(self):
+        t = count_table(PartSet.NONZERO_VECTORS, 3000, 2)
+        p = pentagonal_partitions(3000)
+        assert [t.get(a, 0) for a in range(3001)] == p
+        assert list(t.counts[0]) == p[:3]
+
+    def test_transposed_matches_naive(self):
+        for ps in PartSet:
+            t = count_table(ps, 12, 3)
+            assert (t.max1, t.max2, len(t.counts), len(t.counts[0])) == (12, 3, 13, 4)
+            for a in range(9):
+                for b in range(4):
+                    assert t.get(a, b) == count_naive(ps, Target(a, b))
+
+
 class TestConvolutionIdentity:
     def test_nonzero_factorises(self):
         # allowing axis parts multiplies in an independent 1-D partition

@@ -146,6 +146,21 @@ class TestLyapunov:
         nonzero = lyapunov_bound(cal.params, PartSet.NONZERO_VECTORS)
         assert nonzero > 0 and strict > 0
 
+    @pytest.mark.parametrize(
+        "part_set, unswapped",
+        [
+            (PartSet.STRICT_POSITIVE, 3.553513689555949),
+            (PartSet.NONZERO_VECTORS, 2.174928406999394),
+        ],
+    )
+    def test_swap_symmetry(self, part_set, unswapped):
+        # both part sets and the even direction grid are symmetric under
+        # (x1, x2) -> (x2, x1); `unswapped` is the bound evaluated at
+        # (0.2, 0.8) directly, without exchanging alpha and beta
+        low = lyapunov_bound(ShapeParams(0.2, 0.8), part_set)
+        assert low == pytest.approx(lyapunov_bound(ShapeParams(0.8, 0.2), part_set), rel=1e-12)
+        assert low == pytest.approx(unswapped, rel=1e-12)
+
     def test_axis_sum_matches_power_expansion(self):
         # reference: the same share expanded over the powers j of q,
         # (1 - q)^{-3} = sum_j C(j+2, 2) q^j, each x-sum in closed form

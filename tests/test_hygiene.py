@@ -1,9 +1,11 @@
-"""Source hygiene: every name a module or test file imports is used."""
+"""Source hygiene: every name a module or test file imports is used, and no
+line is longer than MAX_LINE characters."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MAX_LINE = 99
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,12 +37,26 @@ def test_detector():
     assert unused_imports(source) == ["Union", "j", "tau"]
 
 
-def test_no_unused_imports():
+def source_files() -> list[Path]:
     files = sorted([*ROOT.glob("src/bipartitions/*.py"), *ROOT.glob("tests/*.py")])
     assert files
+    return files
+
+
+def test_no_unused_imports():
     found = {
         str(path.relative_to(ROOT)): names
-        for path in files
+        for path in source_files()
         if (names := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def test_line_length():
+    long_lines = [
+        f"{path.relative_to(ROOT)}:{n}"
+        for path in source_files()
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > MAX_LINE
+    ]
+    assert long_lines == []
