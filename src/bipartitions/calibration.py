@@ -73,7 +73,11 @@ def solve_theta(t: float, barred: bool, rel_tol: float = 1e-12) -> float:
     for _ in range(MAX_ITER):
         if not (1e-12 <= a <= 1e6):
             raise ConvergenceError("root lies outside [1e-12, 1e6]", (lo, hi))
-        value, slope = _theta_and_slope(a, barred)
+        try:
+            value, slope = _theta_and_slope(a, barred)
+        except ZeroDivisionError:  # Phi underflows to 0.0 beyond alpha ~ 709
+            msg = f"target ratio {t!r} is too small for double precision"
+            raise ConvergenceError(msg, (lo, hi)) from None
         fa = value - t
         if abs(fa) <= rel_tol * t:
             return a

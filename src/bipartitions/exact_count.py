@@ -2,8 +2,7 @@
 
 The main routine builds a dense table of counts p_X(a, b) for a <= n1,
 b <= n2, one q2-row P_a per a, by the Euler-transform recurrence
-a P_a = sum_{i=1..a} M_i P_{a-i}, multiplying Kronecker-packed ints whose
-slots are certified wider than any coefficient.  A recursive enumeration
+a P_a = sum_{i=1..a} M_i P_{a-i}, in additions only.  A recursive enumeration
 oracle and a 1-D partition counter serve as independent ground truth.
 """
 
@@ -15,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import IO, Iterator
+
+import numpy as np
 
 
 class PartSet(Enum):
@@ -112,11 +113,11 @@ def count_table(
     gives a P_a = sum_{i=1..a} M_i P_{a-i} with M_i[j] = sum_{d | gcd(i, j)} i/d
     (part (i/d, j/d) taken d times).  The part set decides only P_0 (1, or the
     1-D partition row for parts (0, x2)) and column 0 of M_i (parts (i/d, 0)).
-    Every coefficient is >= 0, so each slot of the packed sum is at most
-    sum_i |M_i|_1 max P_{a-i}: wider slots never carry, and each divides by a.
-    The cost grows like n1^2 n2, so a thin table with n1 > n2 is built as the
-    (n2, n1) table and transposed: both part sets are symmetric under
-    (x1, x2) -> (x2, x1).
+    Grouping i = d e turns the products into comb sums S_d (`_comb_sum`):
+    a P_a = sum_{d<=a} S_d u_d with u_d = sum_{e<=a/d} e P_{a-de}, and the sum
+    divides exactly by a.  The cost grows like n1^2 log(n1) n2, so a thin table
+    with n1 > n2 is built as the (n2, n1) table and transposed: both part sets
+    are symmetric under (x1, x2) -> (x2, x1).
     """
     if n1 < 0 or n2 < 0:
         raise ValueError("table bounds must be non-negative")
@@ -131,33 +132,24 @@ def count_table(
     return CountTable(part_set, n1, n2, counts)
 
 
-def _count_rows(part_set: PartSet, n1: int, n2: int) -> list[list[int]]:
+def _count_rows(part_set: PartSet, n1: int, n2: int) -> list[np.ndarray]:
     """Rows P_0 .. P_n1 of the table, by the recurrence of `count_table`."""
-    W = n2 + 1
     axis = part_set is PartSet.NONZERO_VECTORS
-    weights = [[0] * W for _ in range(n1)]  # weights[i - 1] is M_i
-    for i, m in enumerate(weights, 1):
-        for d in range(1, i + 1):
-            if i % d == 0:
-                for j in range(0 if axis else d, W, d):
-                    m[j] += i // d
-    rows = [_partition_row(n2) if axis else [1] + [0] * n2]
+    rows = [_partition_row(n2) if axis else np.array([1] + [0] * n2, dtype=object)]
     for a in range(1, n1 + 1):
-        pairs = list(zip(weights, rows[::-1]))  # (M_i, P_{a-i}) for i = 1..a
-        # bytes per slot: 2^(8 size) exceeds sum_i |M_i|_1 max P_{a-i}
-        size = sum(sum(m) * max(p) for m, p in pairs).bit_length() // 8 + 1
-        total = sum(_pack(m, size) * _pack(p, size) for m, p in pairs)
-        # the bound holds for all 2W - 1 slots of the products, not only the low W
-        buf = total.to_bytes(2 * W * size, "little")
-        rows.append(
-            [int.from_bytes(buf[j * size : (j + 1) * size], "little") // a for j in range(W)]
-        )
+        total = np.zeros(n2 + 1, dtype=object)
+        for d in range(1, a + 1):
+            u = sum(e * rows[a - d * e] for e in range(1, a // d + 1))
+            # strict parts have x2 >= 1, so their combs start at m = 1
+            total += _comb_sum(u, d) if axis else _comb_sum(u, d) - u
+        rows.append(total // a)
     return rows
 
 
-def _pack(row: list[int], size: int) -> int:
-    """Kronecker substitution: row[j] goes to the j-th slot of `size` bytes."""
-    return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in row), "little")
+def _comb_sum(u: np.ndarray, d: int) -> np.ndarray:
+    """S_d u[k] = sum_{m >= 0} u[k - m d]: a prefix sum down each residue mod d."""
+    padded = np.concatenate([u, np.zeros(-len(u) % d, dtype=object)])
+    return padded.reshape(-1, d).cumsum(axis=0).ravel()[: len(u)]
 
 
 NAIVE_LIMIT = 8
@@ -188,17 +180,16 @@ def count_naive(part_set: PartSet, target: Target) -> int:
     return result
 
 
-def _partition_row(n: int) -> list[int]:
-    """1-D partition numbers p(0), ..., p(n), by the Euler DP."""
-    row = [1] + [0] * n
+def _partition_row(n: int) -> np.ndarray:
+    """1-D partition numbers p(0), ..., p(n): prod_k 1/(1 - q^k) as comb sums."""
+    row = np.array([1] + [0] * n, dtype=object)
     for k in range(1, n + 1):
-        for t in range(k, n + 1):
-            row[t] += row[t - k]
+        row = _comb_sum(row, k)
     return row
 
 
 def count_1d(n: int) -> int:
-    """Number of 1-D integer partitions p(n), by the Euler DP."""
+    """Number of 1-D integer partitions p(n), by the Euler product."""
     if n < 0:
         raise ValueError("count_1d requires n >= 0")
     return _partition_row(n)[n]

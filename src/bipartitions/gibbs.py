@@ -353,6 +353,10 @@ class LLTReport:
             "lyapunov": self.lyapunov_bound,
             "p_exact_decimal_string": str(self.p_exact),
             "normalized_ratio": self.normalized_ratio,
+            "gamma": [list(row) for row in self.gamma],
+            "ellipse_radius": self.ellipse_radius,
+            "gaussian_pred": self.gaussian_pred,
+            "extras": self.extras,
         }
         return json.dumps(payload)
 

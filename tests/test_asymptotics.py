@@ -20,6 +20,7 @@ from bipartitions.asymptotics import (
 )
 from bipartitions.calibration import ShapeParams
 from bipartitions.exact_count import PartSet, Target, count_table
+from bipartitions.formal_series import corollary2_coeffs
 from bipartitions.special_functions import dirichlet, psi
 
 
@@ -181,6 +182,21 @@ class TestRates:
         assert rate_function(1e-3, PartSet.NONZERO_VECTORS) > math.pi * math.sqrt(
             2.0 / 3.0
         )
+
+    @pytest.mark.parametrize("K", [0, 1, 2])
+    def test_exact_coefficients_match(self, K):
+        # h(t) = t (2 - log t^2 + sum_{k<=K} c_k t^{2k}) + O(t^{2K+3}); K >= 3
+        # reaches the ~4e-13 floor that solve_theta's tolerance sets
+        c = corollary2_coeffs(8).coefficients
+
+        def residual(t):
+            series = sum(float(c[k - 1]) * t ** (2 * k) for k in range(1, K + 1))
+            return rate_function(t, PartSet.STRICT_POSITIVE) - t * (
+                2.0 - math.log(t * t) + series
+            )
+
+        slope = math.log2(abs(residual(0.05) / residual(0.025)))
+        assert slope == pytest.approx(2 * K + 3, abs=0.1)
 
     def test_table_shape(self):
         rows = rate_table([0.5, 1.0])

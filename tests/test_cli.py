@@ -102,6 +102,14 @@ class TestRates:
         code, _, err = run(capsys, "rates", "--steps", "0")
         assert code == 1 and "error:" in err
 
+    def test_underflowing_ratio_is_reported(self, capsys):
+        # the strict root lies beyond alpha ~ 709, where Phi underflows to 0.0
+        code, _, err = run(
+            capsys, "rates", "--t-min", "1e-300", "--t-max", "1e-300", "--steps", "1"
+        )
+        assert code == 1
+        assert err.startswith("error: target ratio 1e-300 is too small")
+
 
 class TestCompare:
     def test_small_grid(self, capsys):
@@ -184,6 +192,30 @@ class TestLLT:
         assert payload["n1"] == 8 and payload["part_set"] == "strict"
         assert float(payload["normalized_ratio"]) > 0
         assert payload["p_exact_decimal_string"].isdigit()
+
+    @pytest.mark.parametrize("parts", ["strict", "nonzero"])
+    def test_full_report(self, capsys, parts):
+        code, out, _ = run(capsys, "llt", "--n1", "8", "--n2", "64", "--parts", parts)
+        assert code == 0
+        payload = json.loads(out)
+        (g11, g12), (g21, g22) = payload["gamma"]
+        trace, det = g11 + g22, payload["det_gamma"]
+        assert g12 == g21
+        assert g11 * g22 - g12 * g21 == pytest.approx(det, rel=1e-9)
+        sigma_sq = 0.5 * (trace - math.sqrt(trace**2 - 4.0 * det))
+        assert sigma_sq == pytest.approx(payload["sigma_sq"], rel=1e-9)
+        assert payload["ellipse_radius"] == pytest.approx(1.0 / (4.0 * payload["lyapunov"]))
+        extras = payload["extras"]
+        assert payload["gaussian_pred"] == pytest.approx(
+            math.exp(-0.5 * extras["mean_offset_sq"]) / (2.0 * math.pi * math.sqrt(det))
+        )
+        log_p = (
+            math.log(int(payload["p_exact_decimal_string"]))
+            - payload["alpha"] * 8 - payload["beta"] * 64 - extras["log_z"]
+        )
+        assert payload["normalized_ratio"] == pytest.approx(
+            2.0 * math.pi * math.sqrt(det) * math.exp(log_p), rel=1e-9
+        )
 
 
 class TestParser:

@@ -89,6 +89,12 @@ class TestTableBasics:
                     assert t.get(a, b) == count_naive(ps, Target(a, b))
 
 
+def csv_digest(table) -> str:
+    buf = io.StringIO()
+    table.to_csv(buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
 class TestGoldenTables:
     # sha256 of the CSV dump at (20, 424), frozen from the knapsack DP that
     # the row recurrence replaced
@@ -102,9 +108,21 @@ class TestGoldenTables:
         ],
     )
     def test_full_table_digest(self, part_set, digest):
-        buf = io.StringIO()
-        count_table(part_set, 20, 424).to_csv(buf)
-        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+        assert csv_digest(count_table(part_set, 20, 424)) == digest
+
+    # at (30, 900), frozen from the packed-product recurrence that the comb
+    # sums replaced
+    @pytest.mark.parametrize(
+        "part_set, digest",
+        [
+            (PartSet.STRICT_POSITIVE,
+             "8d302e7db4f418ab1a556ddec5b67430e7476d1fa48d03d81d4e62d76d5f2cc1"),
+            (PartSet.NONZERO_VECTORS,
+             "86a710053b706f3905121825fa95f80dfee605d5cee581ea1370beef7941d2a3"),
+        ],
+    )
+    def test_heavy_table_digest(self, part_set, digest):
+        assert csv_digest(count_table(part_set, 30, 900)) == digest
 
 
 def pentagonal_partitions(n: int) -> list[int]:

@@ -195,6 +195,10 @@ class TestLLT:
             "lyapunov",
             "p_exact_decimal_string",
             "normalized_ratio",
+            "gamma",
+            "ellipse_radius",
+            "gaussian_pred",
+            "extras",
         ]
         assert payload["part_set"] == "strict"
         assert int(payload["p_exact_decimal_string"]) == report.p_exact

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module or test file imports is used, and no
+"""Source hygiene: every name a module or test file imports is used, every
+private module-level name of the package is read somewhere in it, and no
 line is longer than MAX_LINE characters."""
 
 import ast
@@ -37,6 +38,42 @@ def test_detector():
     assert unused_imports(source) == ["Union", "j", "tau"]
 
 
+def private_definitions(source: str) -> set[str]:
+    """Module-level names with one leading underscore that the source defines."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def read_names(source: str) -> set[str]:
+    """Names the source reads: loaded names, attributes and imported names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def test_private_detector():
+    source = (
+        "from m import _imported\n_kept = 1\n_dead: int = 2\n__dunder__ = 3\n"
+        "public = _kept\ndef _f():\n    return m._attr\nclass _C:\n    _inner = 4\n"
+    )
+    assert private_definitions(source) == {"_kept", "_dead", "_f", "_C"}
+    assert private_definitions(source) - read_names(source) == {"_dead", "_f", "_C"}
+    assert {"_imported", "_attr"} <= read_names(source)
+
+
 def source_files() -> list[Path]:
     files = sorted([*ROOT.glob("src/bipartitions/*.py"), *ROOT.glob("tests/*.py")])
     assert files
@@ -60,3 +97,11 @@ def test_line_length():
         if len(line) > MAX_LINE
     ]
     assert long_lines == []
+
+
+def test_no_dead_private_names():
+    sources = [path.read_text() for path in ROOT.glob("src/bipartitions/*.py")]
+    assert sources
+    defined = set().union(*map(private_definitions, sources))
+    read = set().union(*map(read_names, sources))
+    assert sorted(defined - read) == []
