@@ -65,19 +65,20 @@ def solve_theta(t: float, barred: bool, rel_tol: float = 1e-12) -> float:
     0, so every evaluation narrows the bracket (lo, hi) around the root.
     While a side of the bracket is still unknown alpha doubles or halves;
     after that a Newton step that leaves the bracket is replaced by bisection.
+    Where Phi underflows to 0.0, Theta counts as below t; if the bracket then
+    shrinks onto such an alpha, the root is not representable.
     """
     if not (t > 0 and math.isfinite(t)):
         raise ValueError(f"target ratio must be a positive real, got {t!r}")
-    lo, hi = 0.0, math.inf
+    lo, hi, underflow = 0.0, math.inf, math.inf
     a = 1.0
     for _ in range(MAX_ITER):
         if not (1e-12 <= a <= 1e6):
             raise ConvergenceError("root lies outside [1e-12, 1e6]", (lo, hi))
         try:
             value, slope = _theta_and_slope(a, barred)
-        except ZeroDivisionError:  # Phi underflows to 0.0 beyond alpha ~ 709
-            msg = f"target ratio {t!r} is too small for double precision"
-            raise ConvergenceError(msg, (lo, hi)) from None
+        except ZeroDivisionError:  # Phi is 0.0 beyond alpha ~ 709.78, where e^alpha overflows
+            value, slope, underflow = 0.0, math.inf, a  # so a bounds the root above
         fa = value - t
         if abs(fa) <= rel_tol * t:
             return a
@@ -93,7 +94,10 @@ def solve_theta(t: float, barred: bool, rel_tol: float = 1e-12) -> float:
             candidate = a - fa / slope
             if not (lo < candidate < hi):
                 candidate = 0.5 * (lo + hi)  # Newton overshoot: bisect
-        if candidate == a:
+        if candidate == a:  # converged, or the bracket has shrunk to one float
+            if hi == underflow:
+                msg = f"target ratio {t!r} is too small for double precision"
+                raise ConvergenceError(msg, (lo, hi))
             return a
         a = candidate
     raise ConvergenceError("Newton iteration cap exceeded", (lo, hi))

@@ -1,16 +1,19 @@
 """Boltzmann sampling and local-limit-theorem diagnostics.
 
-The sampler draws independent geometric multiplicities for every part in a
-truncated part window whose discarded total-variation mass is explicitly
-bounded.  The diagnostics side evaluates the characteristic function of N,
-an upper bound on the scale-free Lyapunov ratio over a direction grid, and
-the normalized local-limit ratio against exact counts.
+A multiplicity with P(omega >= k) = q^k is sum_r r Pois(q^r / r), so the
+sampler draws Pois(log Z) pairs (r, part) per replica, each adding r copies
+of its part (Flajolet, Fusy and Pivoteau 2007), with r cut where a certified
+tail bounds the total-variation distance.  Replicas come in chunks, one
+random stream per chunk.  The diagnostics side evaluates the characteristic
+function of N, an upper bound on the scale-free Lyapunov ratio over a
+direction grid, and the normalized local-limit ratio against exact counts.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,9 +23,15 @@ from .calibration import ShapeParams, calibrate
 from .exact_count import CountTable, PartSet, Target, count_table
 from .special_functions import DEFAULT_TOL, _geometric, _series
 
+# replicas per random stream; a chunk holds ~CHUNK_REPLICAS * log Z pairs at
+# once, so a larger chunk saves little time and costs memory
+CHUNK_REPLICAS = 64
+MAX_RATE_TERMS = 1 << 20  # longest r table (one float per family and r)
+MAX_CHUNK_PAIRS = 1 << 22  # most pairs a chunk may expect (~60 bytes each)
+
 
 class TruncationError(ValueError):
-    """The requested TV budget cannot be honoured."""
+    """The TV budget is invalid, or honouring it would pass a stated cap."""
 
 
 @dataclass(frozen=True)
@@ -45,67 +54,80 @@ class SampledPartition:
     N: tuple[int, int]
 
 
-def _retained_window(spec: SamplerSpec) -> tuple[int, int]:
-    """Box bounds (M1, M2) with discarded weight below the TV budget.
+def pair_rates(spec: SamplerSpec) -> tuple[np.ndarray, float]:
+    """Rates lambda[f, r - 1] of the pairs (r, part) of each part family f, cut
+    in r, and a bound on the rate sum_{r > cut} of the dropped pairs, which
+    bounds the chance that one occurs and so the total-variation distance.
 
-    The discarded mass is bounded by the sum of e^{-<lambda,x>} over the
-    excluded parts; per-coordinate geometric tails control it.
+    Family 0 (x1, x2 >= 1) has rate G0(alpha r) G0(beta r)/r; the nonzero set
+    adds the axes x2 = 0 and x1 = 0, at G0(alpha r)/r and G0(beta r)/r.  As
+    G0(x + a) <= e^{-a} G0(x), the total shrinks by q = e^{-decay} per step.
     """
     a, b = spec.params.alpha, spec.params.beta
-    A = 1.0 / math.expm1(a)  # sum_{x>=1} e^{-a x}
-    B = 1.0 / math.expm1(b)
-    if spec.part_set is PartSet.STRICT_POSITIVE:
-        row_masses = (A * B, A * B)
-    else:
-        row_masses = (A * B + A, A * B + B)
-    budget = spec.tv_budget
-    # e^{-a M1} * (interior row mass + axis tail) <= budget/2, same in x2
-    m1 = max(1, math.ceil(math.log(max(2.0 * row_masses[0] / budget, 2.0)) / a))
-    m2 = max(1, math.ceil(math.log(max(2.0 * row_masses[1] / budget, 2.0)) / b))
-    if (m1 + 1) * (m2 + 1) > 200_000_000:
-        raise TruncationError(
-            f"truncated window {m1}x{m2} is too large for the parameter range"
-        )
-    return m1, m2
+    nonzero = spec.part_set is PartSet.NONZERO_VECTORS
+    decay = min(a, b) if nonzero else a + b
+    tail_factor = float(_geometric(decay)[0])  # q / (1 - q)
+
+    def rates(r: np.ndarray) -> np.ndarray:
+        ga, gb = _geometric(a * r)[0], _geometric(b * r)[0]
+        return np.stack([ga * gb, ga, gb] if nonzero else [ga * gb]) / r
+
+    # lambda_r <= lambda_1 q^{r-1}, so the cut comes no later than max_r
+    first_tail = float(rates(np.ones(1)).sum()) * tail_factor
+    max_r = 2 + math.ceil(math.log(max(first_tail / spec.tv_budget, 1.0)) / decay)
+    if max_r > MAX_RATE_TERMS:
+        msg = f"tv_budget {spec.tv_budget!r} may need {max_r} terms of r, above {MAX_RATE_TERMS}"
+        raise TruncationError(msg)
+    table = rates(np.arange(1.0, max_r + 1.0))
+    tails = table.sum(axis=0) * tail_factor
+    cut = int(np.flatnonzero(tails < spec.tv_budget)[0])
+    return table[:, : cut + 1], float(tails[cut])
 
 
-def _window_parts(spec: SamplerSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays (x1, x2, <lambda, x>) over the retained parts, in `parts_in_box` order."""
-    m1, m2 = _retained_window(spec)
+def _chunks(spec: SamplerSpec, first: int, stop: int):
+    """Yield (base, bounds, r, x1, x2) for each chunk with a replica in [first,
+    stop); replica base + j owns the pairs bounds[j]:bounds[j+1].  Chunk k always
+    draws all its replicas from stream (seed, k), whatever range is asked for.
+    """
+    rates, _ = pair_rates(spec)
+    cdf = np.cumsum(rates)
+    if CHUNK_REPLICAS * cdf[-1] > MAX_CHUNK_PAIRS:
+        msg = f"a chunk of {CHUNK_REPLICAS} replicas at log Z = {cdf[-1]:.6g} expects"
+        raise TruncationError(f"{msg} more than {MAX_CHUNK_PAIRS} pairs")
     a, b = spec.params.alpha, spec.params.beta
-    xs1 = []
-    xs2 = []
-    if spec.part_set is PartSet.NONZERO_VECTORS:
-        xs1.append(np.zeros(m2, dtype=np.int64))
-        xs2.append(np.arange(1, m2 + 1, dtype=np.int64))
-    for x1 in range(1, m1 + 1):
-        start = 0 if spec.part_set is PartSet.NONZERO_VECTORS else 1
-        xs1.append(np.full(m2 + 1 - start, x1, dtype=np.int64))
-        xs2.append(np.arange(start, m2 + 1, dtype=np.int64))
-    x1 = np.concatenate(xs1)
-    x2 = np.concatenate(xs2)
-    energy = a * x1 + b * x2
-    return x1, x2, energy
+    for chunk in range(first // CHUNK_REPLICAS, -(-stop // CHUNK_REPLICAS)):
+        rng = np.random.default_rng((spec.seed, chunk))
+        bounds = np.zeros(CHUNK_REPLICAS + 1, dtype=np.int64)
+        np.cumsum(rng.poisson(cdf[-1], CHUNK_REPLICAS), out=bounds[1:])
+        # family and r by inverse CDF over the flattened rate table
+        family, r = np.divmod(
+            np.searchsorted(cdf[:-1], cdf[-1] * rng.random(bounds[-1]), side="right"),
+            rates.shape[1],
+        )
+        r += 1
+        # geometric coordinates >= 1: P(x > k) = P(E > k r alpha) = e^{-k r alpha}
+        x1 = 1 + (rng.standard_exponential(r.size) / (a * r)).astype(np.int64)
+        x2 = 1 + (rng.standard_exponential(r.size) / (b * r)).astype(np.int64)
+        x1[family == 2] = 0
+        x2[family == 1] = 0
+        yield chunk * CHUNK_REPLICAS, bounds, r, x1, x2
 
 
-def _draw_multiplicities(energy: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Geometric draws with P(omega >= k) = e^{-k * energy}."""
-    u = rng.random(energy.shape[0])
-    return np.floor(np.log(u) / -energy).astype(np.int64)
+def samples(spec: SamplerSpec, first: int, stop: int):
+    """Replicas first..stop-1 as partitions, drawing each chunk once."""
+    for base, bounds, r, x1, x2 in _chunks(spec, first, stop):
+        for j in range(max(first - base, 0), min(stop - base, CHUNK_REPLICAS)):
+            pairs = slice(bounds[j], bounds[j + 1])
+            copies, p1, p2 = r[pairs], x1[pairs], x2[pairs]
+            mult: Counter = Counter()
+            for k, part in zip(copies.tolist(), zip(p1.tolist(), p2.tolist())):
+                mult[part] += k
+            yield SampledPartition(dict(mult), (int(copies @ p1), int(copies @ p2)))
 
 
 def sample(spec: SamplerSpec, replica: int = 0) -> SampledPartition:
     """One partition draw; deterministic given (seed, replica)."""
-    x1, x2, energy = _window_parts(spec)
-    rng = np.random.default_rng((spec.seed, replica))
-    omega = _draw_multiplicities(energy, rng)
-    active = omega > 0
-    mult = {
-        (int(a_), int(b_)): int(w)
-        for a_, b_, w in zip(x1[active], x2[active], omega[active])
-    }
-    n = (int(np.dot(omega, x1)), int(np.dot(omega, x2)))
-    return SampledPartition(multiplicities=mult, N=n)
+    return next(samples(spec, replica, replica + 1))
 
 
 @dataclass
@@ -117,35 +139,25 @@ class BatchResult:
     tracked_draws: np.ndarray  # (reps, len(tracked_parts)) int64
 
 
-def sample_batch(
-    spec: SamplerSpec,
-    reps: int,
-    tracked_parts: tuple = (),
-) -> BatchResult:
-    """Independent replicas; replica i uses stream (seed, i).
+def sample_batch(spec: SamplerSpec, reps: int, tracked_parts: tuple = ()) -> BatchResult:
+    """Replicas 0..reps-1 as arrays; replica i equals sample(spec, i).
 
-    The replica streams match :func:`sample`, so any single replica of a
-    batch can be reproduced in isolation.
+    A tracked part's multiplicity is the sum of r over the pairs on it.
     """
-    x1, x2, energy = _window_parts(spec)
-    part_index = {}
-    if tracked_parts:
-        lookup = {(int(a_), int(b_)): i for i, (a_, b_) in enumerate(zip(x1, x2))}
-        for p in tracked_parts:
-            if p not in lookup:
-                raise ValueError(f"tracked part {p} is outside the retained window")
-            part_index[p] = lookup[p]
-    Ns = np.empty((reps, 2), dtype=np.int64)
-    tracked = np.empty((reps, len(tracked_parts)), dtype=np.int64)
-    cols = [part_index[p] for p in tracked_parts]
-    for i in range(reps):
-        rng = np.random.default_rng((spec.seed, i))
-        omega = _draw_multiplicities(energy, rng)
-        Ns[i, 0] = np.dot(omega, x1)
-        Ns[i, 1] = np.dot(omega, x2)
-        if cols:
-            tracked[i] = omega[cols]
-    return BatchResult(Ns=Ns, tracked_parts=tuple(tracked_parts), tracked_draws=tracked)
+    lowest = 0 if spec.part_set is PartSet.NONZERO_VECTORS else 1
+    for p in tracked_parts:
+        if min(p) < lowest or tuple(p) == (0, 0):
+            raise ValueError(f"tracked part {p} is outside the part set")
+    columns = np.empty((reps, 2 + len(tracked_parts)), dtype=np.int64)
+    for base, bounds, r, x1, x2 in _chunks(spec, 0, reps):
+        rows = min(CHUNK_REPLICAS, reps - base)
+        sums = np.zeros(r.size + 1, dtype=np.int64)
+        weights = [x1, x2] + [(x1 == p1) & (x2 == p2) for p1, p2 in tracked_parts]
+        for col, w in enumerate(weights):
+            # per-replica sums as differences of running sums, exact in int64
+            np.cumsum(r * w, out=sums[1:])
+            columns[base : base + rows, col] = (sums[bounds[1:]] - sums[bounds[:-1]])[:rows]
+    return BatchResult(columns[:, :2], tuple(tracked_parts), columns[:, 2:])
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,14 @@ class TestSolveTheta:
         alpha = solve_theta(1e-100, barred)
         assert theta(alpha, barred) == pytest.approx(1e-100, rel=1e-10)
 
+    @pytest.mark.parametrize("t", [1e-113, 1e-150])
+    def test_ratio_beyond_the_doubling_search(self, t):
+        # the strict root lies in (512, 709.78): the doubling search overshoots
+        # to alpha = 1024, where Phi is 0.0, and must bisect back below it
+        alpha = solve_theta(t, False)
+        assert 512.0 < alpha < 709.78
+        assert theta(alpha) == pytest.approx(t, rel=1e-10)
+
     def test_series_passes(self, monkeypatch):
         # the 100-point default `bipart rates` grid plus three extreme ratios,
         # both variants: 206 solves in fewer than 2000 (Phi, Phi', Phi'') passes

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from bipartitions import cli, special_functions
+from bipartitions import cli, gibbs, special_functions
 from bipartitions.asymptotics import theorem_estimate
 from bipartitions.cli import main
 from bipartitions.exact_count import PartSet, Target, count_table
@@ -165,6 +165,36 @@ class TestSample:
         assert set(rep) == {"replica", "N", "multiplicities"}
         n1 = sum(x1 * m for x1, _, m in rep["multiplicities"])
         assert rep["N"][0] == n1
+
+    def test_truncation_report(self, capsys):
+        code, out, _ = run(capsys, "sample", "--n1", "6", "--n2", "40", "--parts", "strict")
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == [
+            "n1", "n2", "part_set", "alpha", "beta", "seed", "replicas",
+            "residuals", "max_r", "tail_bound",
+        ]
+        assert len(payload["residuals"]) == 2 and max(payload["residuals"]) < 1e-9
+        assert isinstance(payload["max_r"], int) and payload["max_r"] >= 1
+        assert 0.0 < payload["tail_bound"] < 1e-4
+
+    def test_rate_table_cap_is_reported(self, capsys):
+        # beta ~ 1.3e-8: the cut in r would lie beyond r ~ 3e9
+        code, out, err = run(
+            capsys, "sample", "--n1", "10", "--n2", "10000000000000000", "--parts", "nonzero"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: tv_budget 0.0001 may need")
+        assert str(gibbs.MAX_RATE_TERMS) in err
+
+    def test_chunk_pair_cap_is_reported(self, capsys):
+        # log Z ~ 1.3e5, so a chunk of replicas would hold ~8.6e6 pairs
+        code, out, err = run(
+            capsys, "sample", "--n1", "200000", "--n2", "40000000000", "--parts", "strict"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: a chunk of {gibbs.CHUNK_REPLICAS} replicas")
+        assert str(gibbs.MAX_CHUNK_PAIRS) in err
 
     def test_truncation_error_is_reported(self, capsys):
         code, out, err = run(

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+from bipartitions.asymptotics import log_z_direct
 from bipartitions.calibration import ShapeParams, calibrate
 from bipartitions.exact_count import PartSet, Target, count_table
 from bipartitions.gibbs import (
+    CHUNK_REPLICAS,
     SamplerSpec,
     TruncationError,
     _abs_cubic_geom_sum,
@@ -20,11 +23,14 @@ from bipartitions.gibbs import (
     char_fn_bound,
     llt_check,
     lyapunov_bound,
+    pair_rates,
     sample,
     sample_batch,
+    samples,
 )
 
 PARAMS = ShapeParams(0.9, 0.35)
+NONZERO = PartSet.NONZERO_VECTORS
 
 
 class TestSampler:
@@ -43,6 +49,62 @@ class TestSampler:
             assert tuple(batch.Ns[i]) == single.N
             assert batch.tracked_draws[i, 0] == single.multiplicities.get((1, 1), 0)
             assert batch.tracked_draws[i, 1] == single.multiplicities.get((0, 1), 0)
+
+    @pytest.mark.parametrize("part_set", list(PartSet))
+    def test_batch_matches_single_draws_across_chunks(self, part_set):
+        # reps is not a multiple of the chunk, so the last chunk is cut
+        chunk = CHUNK_REPLICAS
+        reps = 2 * chunk + 5
+        tracked = ((1, 1), (2, 1)) + (((0, 1), (1, 0)) if part_set is NONZERO else ())
+        spec = SamplerSpec(params=PARAMS, part_set=part_set, seed=4)
+        batch = sample_batch(spec, reps, tracked_parts=tracked)
+        assert batch.Ns.shape == (reps, 2)
+        listed = list(samples(spec, chunk - 1, chunk + 1))
+        for i in (0, chunk - 1, chunk, reps - 1):
+            single = sample(spec, replica=i)
+            assert tuple(batch.Ns[i]) == single.N
+            for col, part in enumerate(tracked):
+                assert batch.tracked_draws[i, col] == single.multiplicities.get(part, 0)
+            if chunk - 1 <= i <= chunk:
+                assert listed[i - chunk + 1] == single
+
+    @pytest.mark.parametrize("part", [(0, 1), (3, 0)])
+    def test_axis_part_is_geometric(self, part):
+        # chi-square of an axis part's multiplicity against the geometric law
+        # P(omega = k) = (1 - q) q^k, q = e^{-<lambda, x>}, as in criterion 8
+        reps = 40_000
+        spec = SamplerSpec(params=PARAMS, part_set=NONZERO, seed=2)
+        draws = sample_batch(spec, reps, tracked_parts=(part,)).tracked_draws[:, 0]
+        q = math.exp(-(PARAMS.alpha * part[0] + PARAMS.beta * part[1]))
+        k_max = 0
+        while reps * (1 - q) * q ** (k_max + 1) >= 5:
+            k_max += 1
+        observed = [np.sum(draws == k) for k in range(k_max + 1)] + [np.sum(draws > k_max)]
+        expected = [reps * (1 - q) * q**k for k in range(k_max + 1)] + [reps * q ** (k_max + 1)]
+        assert stats.chisquare(observed, expected).pvalue > 0.001
+
+    @pytest.mark.parametrize("part_set", list(PartSet))
+    @pytest.mark.parametrize("params", [PARAMS, ShapeParams(0.5, 0.02)])
+    def test_rate_tail_bound(self, part_set, params):
+        # the certified tail lies below the budget and above the dropped rate,
+        # summed directly far past the cut; the kept rates sum to log Z
+        budget = 1e-4
+        spec = SamplerSpec(params=params, part_set=part_set, tv_budget=budget)
+        rates, tail = pair_rates(spec)
+        cut = rates.shape[1]
+        r = np.arange(cut + 1, 200 * cut + 2000, dtype=float)
+        with np.errstate(over="ignore"):
+            ga = 1.0 / np.expm1(params.alpha * r)
+            gb = 1.0 / np.expm1(params.beta * r)
+        dropped = ga * gb + (ga + gb if part_set is NONZERO else 0.0)
+        dropped = math.fsum(dropped / r)
+        assert dropped < tail < budget
+        log_z = log_z_direct(params, part_set)
+        assert rates.sum() + dropped == pytest.approx(log_z, rel=1e-12)
+        if cut > 1:  # the cut is the first r whose bound is below the budget
+            a, b = params.alpha, params.beta
+            decay = min(a, b) if part_set is NONZERO else a + b
+            assert rates[:, -2].sum() / math.expm1(decay) >= budget
 
     @pytest.mark.parametrize("part_set", list(PartSet))
     def test_draw_consistency(self, part_set):
@@ -76,6 +138,17 @@ class TestSampler:
         spec = SamplerSpec(params=PARAMS, part_set=PartSet.STRICT_POSITIVE)
         with pytest.raises(ValueError):
             sample_batch(spec, 2, tracked_parts=((0, 1),))
+
+    @pytest.mark.parametrize(
+        "part_set, part",
+        [(PartSet.STRICT_POSITIVE, (0, 0)), (NONZERO, (0, 0)), (NONZERO, (-1, 2))],
+    )
+    def test_tracked_part_outside_part_set(self, part_set, part):
+        # there is no window, so only parts outside the part set are refused
+        spec = SamplerSpec(params=PARAMS, part_set=part_set)
+        with pytest.raises(ValueError):
+            sample_batch(spec, 2, tracked_parts=((1, 1), part))
+        sample_batch(spec, 2, tracked_parts=((1, 1), (5000, 7)))
 
 
 class TestCharFn:
