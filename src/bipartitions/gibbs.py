@@ -6,11 +6,14 @@ of its part (Flajolet, Fusy and Pivoteau 2007), with r cut where a certified
 tail bounds the total-variation distance.  Replicas come in chunks, one
 random stream per chunk.  The diagnostics side evaluates the characteristic
 function of N, an upper bound on the scale-free Lyapunov ratio over a
-direction grid, and the normalized local-limit ratio against exact counts.
+direction grid (one pass over the rows of the part lattice, each row summed
+for every direction from its suffix moments, with certified row and column
+cuts), and the normalized local-limit ratio against exact counts.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -21,7 +24,7 @@ import numpy as np
 from .asymptotics import gibbs_covariance, gibbs_mean, log_z_direct
 from .calibration import ShapeParams, calibrate
 from .exact_count import CountTable, PartSet, Target, count_table
-from .special_functions import DEFAULT_TOL, _geometric, _series
+from .special_functions import DEFAULT_TOL, _check_tol, _geometric, _series
 
 # replicas per random stream; a chunk holds ~CHUNK_REPLICAS * log Z pairs at
 # once, so a larger chunk saves little time and costs memory
@@ -216,64 +219,6 @@ def char_fn_bound(params: ShapeParams, t: tuple[float, float]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _geometric_moment_sums(y: np.ndarray, A: np.ndarray) -> list[np.ndarray]:
-    """T_k(y, A) = sum_{x >= A} x^k y^x for k = 0..3, closed forms."""
-    one = 1.0 - y
-    m0 = 1.0 / one
-    m1 = y / one**2
-    m2 = y * (1.0 + y) / one**3
-    m3 = y * (1.0 + 4.0 * y + y * y) / one**4
-    ya = y**A
-    t0 = ya * m0
-    t1 = ya * (A * m0 + m1)
-    t2 = ya * (A * A * m0 + 2.0 * A * m1 + m2)
-    t3 = ya * (A**3 * m0 + 3.0 * A * A * m1 + 3.0 * A * m2 + m3)
-    return [t0, t1, t2, t3]
-
-
-def _signed_cubic_tail(c, d, y, A):
-    """sum_{x >= A} (c + d x)^3 y^x with arrays broadcast elementwise."""
-    t0, t1, t2, t3 = _geometric_moment_sums(y, A)
-    return c**3 * t0 + 3.0 * c * c * d * t1 + 3.0 * c * d * d * t2 + d**3 * t3
-
-
-def _abs_cubic_geom_sum(c, d, y):
-    """sum_{x >= 1} |c + d x|^3 y^x, vectorised over broadcastable arrays.
-
-    Normalises to d >= 0, then either the summand keeps one sign or it is
-    split at the integer root of c + d x, each piece being a polynomial sum
-    with closed form.
-    """
-    c = np.where(d < 0, -c, c)
-    d = np.abs(d)
-    ones = np.ones_like(c)
-    plain = _signed_cubic_tail(np.abs(c), d, y, ones)  # valid when c >= 0 or d == 0
-    # mixed-sign case: c < 0 < d, root at x0 = -c/d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x0 = np.where(d > 0, -c / np.maximum(d, 1e-300), 0.0)
-    m = np.floor(x0)
-    m = np.maximum(m, 0.0)
-    s_all = _signed_cubic_tail(c, d, y, ones)
-    with np.errstate(over="ignore", invalid="ignore"):
-        s_tail = _signed_cubic_tail(c, d, y, m + 1.0)
-    # a sign change beyond the geometric support: y^(m+1) underflows to zero
-    # while the polynomial factor overflows, so the tail itself is zero
-    s_tail = np.where(np.isfinite(s_tail), s_tail, 0.0)
-    mixed = 2.0 * s_tail - s_all
-    return np.where((c < 0) & (d > 0), mixed, plain)
-
-
-def _axis_third_moments(rate: float, tol: float) -> float:
-    """sum_{x>=1} 3 x^3 q/(1-q)^3 = 3 x^3 G1 (1 + G0), q = e^{-rate x}: one axis
-    family's share of the third-moment bound, over every power of q at once."""
-
-    def block(x):
-        g0, g1, _ = _geometric(rate * x)
-        return 3.0 * x**3 * g1 * (1.0 + g0)
-
-    return _series(block, rate, 3.0, tol)[0][0]
-
-
 def _covariance_matrix(params: ShapeParams, part_set: PartSet) -> np.ndarray:
     return np.array(gibbs_covariance(params, part_set), dtype=float)
 
@@ -286,51 +231,102 @@ def _inv_sqrt(matrix: np.ndarray) -> np.ndarray:
 
 
 N_DIRECTIONS = 360  # directions on the half circle; must stay even (see lyapunov_bound)
+MAX_LATTICE_CELLS = 1 << 22  # most lattice cells the Lyapunov bound may sum
+
+
+def _check_cells(cells: int, a: float, b: float) -> None:
+    if cells > MAX_LATTICE_CELLS:
+        msg = f"the Lyapunov lattice at (alpha, beta) = ({a!r}, {b!r}) would take {cells} cells"
+        raise ValueError(f"{msg}, above the cap of {MAX_LATTICE_CELLS}")
 
 
 def lyapunov_bound(params: ShapeParams, part_set: PartSet, tol: float = 1e-10) -> float:
-    """Upper bound on the scale-free Lyapunov ratio over a direction grid.
+    """Upper bound max_t sum_x |t.x|^3 w(x) on the scale-free Lyapunov ratio
+    over a grid of directions t with ||Gamma^{1/2} t|| = 1, where
+    w = 3q/(1-q)^3 with q = e^{-<lambda,x>} is the Cauchy-Schwarz bound on a
+    part's third absolute moment.
 
-    Third absolute moments use the Cauchy-Schwarz bound
-    3 q / (1 - q)^3 with q = e^{-<lambda,x>}; (1-q)^{-3} is expanded as a
-    power series in q so every x2-sum reduces to closed geometric forms.  The
-    axis families of the nonzero set are summed over all powers at once.
-    The x1-row budget and the number of powers grow like 1/alpha, so for
-    alpha < beta the bound is evaluated at (beta, alpha).  The value is the
-    same: both part sets are symmetric under (x1, x2) -> (x2, x1), and the
-    grid of N_DIRECTIONS angles pi k / N maps onto itself under the swap
-    (theta -> pi/2 - theta) only because N_DIRECTIONS is even; it must stay so.
+    One pass over the rows x1 of the part lattice: with c = t1 x1 and d = t2
+    (t negated where t2 < 0), a row's sum of |c + d x2|^3 w for every t comes
+    from its suffix moments sum_{x2 >= A} x2^p w, p <= 3, split at the root of
+    c + d x2.  Columns, then rows, are cut where a ratio bound on the dropped
+    cells falls below tol times the running total.  The bounds are added, so
+    the value is at least the full lattice sum (up to rounding) and at most
+    (1 + tol) times the kept one.  Rows run along the larger rate: for
+    alpha < beta the bound is taken at (beta, alpha).  The value is the same:
+    both part sets are symmetric under (x1, x2) -> (x2, x1), and the grid of
+    angles pi k / N_DIRECTIONS maps onto itself under theta -> pi/2 - theta
+    because N_DIRECTIONS is even, which it must stay.  A lattice past
+    MAX_LATTICE_CELLS raises ValueError before its first cell.
     """
+    return _lyapunov_lattice(params, part_set, tol)[0]
+
+
+def _lyapunov_lattice(params: ShapeParams, part_set: PartSet, tol: float = 1e-10):
+    """lyapunov_bound as (value, cells, tail_bound), the shape _series returns:
+    the cells summed and the bound on the dropped cells that value includes."""
+    _check_tol(tol)
     if params.alpha < params.beta:
         params = ShapeParams(params.beta, params.alpha)
     a, b = params.alpha, params.beta
-    gamma = _covariance_matrix(params, part_set)
-    whiten = _inv_sqrt(gamma)
+
+    def reach(rate: float) -> int:
+        # first x with ((x + 1) / x)^3 e^{-rate} < 1, where a ratio bound starts
+        return math.floor(1.0 / math.expm1(min(rate, 2000.0) / 3.0)) + 1
+
+    # no row cut comes before row reach(a), no column cut before reach(b)
+    _check_cells(reach(a) * reach(b), a, b)
     angles = np.pi * np.arange(N_DIRECTIONS) / N_DIRECTIONS
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    ts = dirs @ whiten.T  # rows t with ||Gamma^{1/2} t|| = 1
-
-    # row budget in x1: beyond M1 the row weight e^{-a x1} x1^3 is negligible
-    m1 = int(math.ceil((50.0 + 4.0 * abs(math.log(b))) / a)) + 4
-    x1 = np.arange(1, m1 + 1, dtype=float)
-
-    totals = np.zeros(N_DIRECTIONS)
-    if part_set is PartSet.NONZERO_VECTORS:
-        totals += np.abs(ts[:, 0]) ** 3 * _axis_third_moments(a, tol)
-        totals += np.abs(ts[:, 1]) ** 3 * _axis_third_moments(b, tol)
-    for j in range(10_001):
-        k = j + 1.0
-        weight = 3.0 * math.comb(j + 2, 2)
-        y = math.exp(-k * b)
-        row_w = np.exp(-k * a * x1)  # (m1,)
-        c = ts[:, 0:1] * x1[None, :]  # (dirs, m1)
-        d = ts[:, 1:2] * np.ones_like(c)
-        inner = _abs_cubic_geom_sum(c, d, np.full_like(c, y))
-        increment = weight * (row_w[None, :] * inner).sum(axis=1)
-        totals += increment
-        if float(increment.max()) < tol * max(float(totals.max()), 1e-300):
-            return float(totals.max())
-    raise RuntimeError("Lyapunov expansion failed to converge")  # pragma: no cover
+    whiten = _inv_sqrt(_covariance_matrix(params, part_set))
+    t1, t2 = whiten @ np.stack([np.cos(angles), np.sin(angles)])
+    # |t.x| = |c1 x1 + d x2| with d >= 0, and |t.x| <= u x1 + v x2 for every t
+    c1, d = np.where(t2 < 0, -t1, t1), np.abs(t2)
+    u, v = float(np.abs(t1).max()), float(d.max())
+    j = int(d.argmax())  # the direction whose running sum is the running total
+    p = np.arange(4.0)[:, None]
+    binomial = np.array([[1.0], [3.0], [3.0], [1.0]])
+    nonzero = part_set is PartSet.NONZERO_VECTORS
+    sums, tail, cells, n = np.zeros(N_DIRECTIONS), 0.0, 0, reach(b)
+    for x1 in itertools.count(0 if nonzero else 1):
+        lo = 0 if nonzero and x1 else 1
+        while True:
+            _check_cells(cells + n, a, b)
+            x2 = np.arange(lo, lo + n, dtype=float)
+            g0, g1, _ = _geometric(a * x1 + b * x2)
+            w = 3.0 * g1 * (1.0 + g0)
+            # the cells after column x2 shrink by `ratio` per step (once it is
+            # below 1), so they add up to at most `after`
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = ((x2 + 1.0) / x2) ** 3 * math.exp(-b)
+                after = (u * x1 + v * x2) ** 3 * w * ratio / np.maximum(1.0 - ratio, 0.0)
+            # row x1's share of the column budget; the shares add up to at most tol / 2
+            budget = 0.5 * tol / ((x1 + 1) * (x1 + 2))
+            running = sums[j] + np.cumsum(np.abs(c1[j] * x1 + d[j] * x2) ** 3 * w)
+            cut = np.flatnonzero(after <= budget * np.maximum(sums.max(), running))
+            if cut.size:
+                break
+            n *= 2
+        m = int(cut[0]) + 1
+        cells += m
+        tail += float(after[m - 1])
+        # suffix moments S_p[x2 - lo] = sum_{x2' >= x2} x2'^p w, zero past the cut
+        terms = np.pad(x2[:m] ** p * w[:m], ((0, 0), (0, 1)))
+        moments = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
+        coef = binomial * (c1 * x1) ** (3.0 - p) * d**p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            past = np.floor(-c1 * x1 / d) + 1.0 - lo  # first column with c1 x1 + d x2 > 0
+        positive = moments[:, np.clip(np.nan_to_num(past), 0, m).astype(np.intp)]
+        # |c + d x2|^3 summed: the part past the root minus the part before it
+        sums += 2.0 * np.einsum("pk,pk->k", coef, positive) - coef.T @ moments[:, 0]
+        ratio = ((x1 + 1.0) / x1) ** 3 * math.exp(-a) if x1 else math.inf
+        if ratio < 1.0:
+            # each later row is at most `ratio` times the one before it
+            row = (binomial * (u * x1) ** (3.0 - p) * v**p)[:, 0] @ moments[:, 0]
+            rest = float(row + after[m - 1]) * ratio / (1.0 - ratio)
+            if rest <= 0.5 * tol * sums.max():
+                tail += rest
+                return float(sums.max()) + tail, cells, tail
+        n = m
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +393,7 @@ def llt_check(
     det_gamma = float(np.linalg.det(gamma))
     eigvals = np.linalg.eigvalsh(gamma)
     sigma_sq = float(eigvals[0])
-    lyap = lyapunov_bound(params, part_set)
+    lyap, cells, tail_bound = _lyapunov_lattice(params, part_set)
     ellipse_radius = 1.0 / (4.0 * lyap)
 
     log_z = log_z_direct(params, part_set)
@@ -428,5 +424,6 @@ def llt_check(
         p_exact=p_exact,
         gaussian_pred=gaussian_pred,
         normalized_ratio=normalized_ratio,
-        extras={"mean_offset_sq": float(offset @ offset), "log_z": log_z},
+        extras={"mean_offset_sq": float(offset @ offset), "log_z": log_z,
+                "lyapunov_cells": cells, "lyapunov_tail_bound": tail_bound},
     )

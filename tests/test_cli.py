@@ -246,6 +246,9 @@ class TestLLT:
         assert payload["normalized_ratio"] == pytest.approx(
             2.0 * math.pi * math.sqrt(det) * math.exp(log_p), rel=1e-9
         )
+        # the Lyapunov bound's default tol is 1e-10
+        assert extras["lyapunov_cells"] > 0
+        assert 0.0 <= extras["lyapunov_tail_bound"] <= 1e-10 * payload["lyapunov"]
 
 
 class TestParser:

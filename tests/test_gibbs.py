@@ -2,23 +2,22 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import stats
 
-from bipartitions.asymptotics import log_z_direct
+from bipartitions.asymptotics import gibbs_covariance, log_z_direct
 from bipartitions.calibration import ShapeParams, calibrate
 from bipartitions.exact_count import PartSet, Target, count_table
 from bipartitions.gibbs import (
     CHUNK_REPLICAS,
+    MAX_LATTICE_CELLS,
+    N_DIRECTIONS,
     SamplerSpec,
     TruncationError,
-    _abs_cubic_geom_sum,
-    _axis_third_moments,
-    _geometric_moment_sums,
+    _lyapunov_lattice,
     char_fn,
     char_fn_bound,
     llt_check,
@@ -186,20 +185,31 @@ class TestCharFn:
         )
 
 
-class TestCubicGeomSum:
-    @given(
-        st.floats(min_value=-3.0, max_value=3.0),
-        st.floats(min_value=-3.0, max_value=3.0),
-        st.floats(min_value=0.01, max_value=0.9),
+def brute_lyapunov(params: ShapeParams, part_set: PartSet, span: float = 45.0) -> float:
+    """The bound's lattice sum by brute force, in the unswapped orientation:
+    max over the whitened direction grid of sum_x |t.x|^3 3q/(1-q)^3 over
+    every part with x1 <= span/alpha and x2 <= span/beta.  Each later part has
+    alpha x1 + beta x2 > span, so all of them add less than 1e-13 relative."""
+    eigvals, eigvecs = np.linalg.eigh(np.array(gibbs_covariance(params, part_set)))
+    angles = np.pi * np.arange(N_DIRECTIONS) / N_DIRECTIONS
+    whiten = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
+    ts = np.stack([np.cos(angles), np.sin(angles)], axis=1) @ whiten
+    x1, x2 = np.meshgrid(
+        np.arange(span // params.alpha + 1), np.arange(span // params.beta + 1), indexing="ij"
     )
-    @settings(max_examples=40, deadline=None)
-    def test_matches_direct_sum(self, c, d, y):
-        xs = np.arange(1, 3000)
-        direct = float(np.sum(np.abs(c + d * xs) ** 3 * y**xs))
-        got = float(
-            _abs_cubic_geom_sum(np.array([c]), np.array([d]), np.array([y]))[0]
-        )
-        assert got == pytest.approx(direct, rel=1e-9, abs=1e-9)
+    inside = (x1 > 0) & (x2 > 0) if part_set is PartSet.STRICT_POSITIVE else (x1 + x2 > 0)
+    x1, x2 = x1[inside], x2[inside]
+    q = np.exp(-(params.alpha * x1 + params.beta * x2))
+    cubes = np.abs(ts[:, :1] * x1 + ts[:, 1:] * x2) ** 3 * (3.0 * q / (1.0 - q) ** 3)
+    return float(cubes.sum(axis=1).max())
+
+
+def assert_brackets_brute_force(params: ShapeParams, part_set: PartSet, tol: float = 1e-10):
+    value, cells, tail_bound = _lyapunov_lattice(params, part_set, tol)
+    brute = brute_lyapunov(params, part_set)
+    assert brute <= value <= brute * (1.0 + 2.0 * tol)
+    assert 0.0 <= tail_bound <= tol * value and cells > 0
+    assert value == lyapunov_bound(params, part_set, tol)
 
 
 class TestLyapunov:
@@ -223,33 +233,42 @@ class TestLyapunov:
         "part_set, unswapped",
         [
             (PartSet.STRICT_POSITIVE, 3.553513689555949),
-            (PartSet.NONZERO_VECTORS, 2.174928406999394),
+            (PartSet.NONZERO_VECTORS, 2.17492840706945),
         ],
     )
     def test_swap_symmetry(self, part_set, unswapped):
         # both part sets and the even direction grid are symmetric under
-        # (x1, x2) -> (x2, x1); `unswapped` is the bound evaluated at
-        # (0.2, 0.8) directly, without exchanging alpha and beta
-        low = lyapunov_bound(ShapeParams(0.2, 0.8), part_set)
-        assert low == pytest.approx(lyapunov_bound(ShapeParams(0.8, 0.2), part_set), rel=1e-12)
+        # (x1, x2) -> (x2, x1); `unswapped` is the lattice sum at (0.2, 0.8)
+        # without exchanging alpha and beta (strict: the power-series bound's
+        # value; nonzero: brute_lyapunov's); tol = 1e-13 keeps the tail bound
+        # the value includes below the rel = 1e-12 of the comparison
+        low = lyapunov_bound(ShapeParams(0.2, 0.8), part_set, tol=1e-13)
+        high = lyapunov_bound(ShapeParams(0.8, 0.2), part_set, tol=1e-13)
+        assert low == pytest.approx(high, rel=1e-12)
         assert low == pytest.approx(unswapped, rel=1e-12)
 
-    def test_axis_sum_matches_power_expansion(self):
-        # reference: the same share expanded over the powers j of q,
-        # (1 - q)^{-3} = sum_j C(j+2, 2) q^j, each x-sum in closed form
-        for rate in (PARAMS.alpha, PARAMS.beta):
-            expanded = math.fsum(
-                3.0 * math.comb(j + 2, 2) * float(
-                    _geometric_moment_sums(np.array(math.exp(-(j + 1) * rate)), np.array(1.0))[3]
-                )
-                for j in range(400)
-            )
-            assert _axis_third_moments(rate, 1e-12) == pytest.approx(expanded, rel=1e-12)
-        # the bound with the axis terms expanded in j gives this value
-        cal = calibrate(Target(10, 100), PartSet.NONZERO_VECTORS)
-        assert lyapunov_bound(cal.params, PartSet.NONZERO_VECTORS) == pytest.approx(
-            1.9944832977831637, rel=1e-9
-        )
+    def test_calibrated_nonzero_value(self):
+        # the power-series bound gave this value
+        cal = calibrate(Target(10, 100), NONZERO)
+        assert lyapunov_bound(cal.params, NONZERO) == pytest.approx(1.9944832977831637, rel=1e-9)
+        assert_brackets_brute_force(cal.params, NONZERO)
+
+    @pytest.mark.parametrize("part_set", list(PartSet))
+    @pytest.mark.parametrize(
+        "params",
+        [ShapeParams(0.8, 0.2), ShapeParams(0.2, 0.8), ShapeParams(1.2, 0.3)],
+        ids=lambda p: f"{p.alpha}-{p.beta}",
+    )
+    def test_against_brute_force(self, params, part_set):
+        assert_brackets_brute_force(params, part_set)
+
+    def test_huge_lattice_fails_fast(self):
+        for part_set in PartSet:
+            start = time.perf_counter()
+            cap = rf"\d+ cells, above the cap of {MAX_LATTICE_CELLS}"
+            with pytest.raises(ValueError, match=cap):
+                lyapunov_bound(ShapeParams(1e-6, 1e-6), part_set)
+            assert time.perf_counter() - start < 1.0
 
 
 class TestLLT:
