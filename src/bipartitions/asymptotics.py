@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import CalibrationResult, ShapeParams, calibrate, solve_theta
+from .calibration import CalibrationResult, ShapeParams, calibrate, theta_roots
 from .exact_count import PartSet, Target
 from .special_functions import (
     DEFAULT_TOL,
@@ -193,25 +193,22 @@ def theorem_estimate(target: Target, part_set: PartSet) -> AsymptoticEstimate:
     )
 
 
+def _rates(t_grid, part_set: PartSet) -> np.ndarray:
+    """alpha t + 2 sqrt(P(alpha)) at each ratio, from one batched root search."""
+    t = np.asarray(t_grid, dtype=float)
+    alpha, p, _ = theta_roots(t, part_set is PartSet.NONZERO_VECTORS)
+    return alpha * t + 2.0 * np.sqrt(p)
+
+
 def rate_function(t: float, part_set: PartSet) -> float:
     """Exponential rate of log p_X(floor(t sqrt(n)), n) / sqrt(n)."""
-    if not (t > 0):
-        raise ValueError(f"rate function requires t > 0, got {t!r}")
-    barred = part_set is PartSet.NONZERO_VECTORS
-    alpha = solve_theta(t, barred)
-    p = phi(alpha)
-    if barred:
-        p += ZETA2
-    return alpha * t + 2.0 * math.sqrt(p)
+    return _rates([t], part_set).item()
 
 
 def rate_table(t_grid: list[float]) -> list[tuple[float, float, float]]:
-    """Rows (t, h(t), h_bar(t)) for plotting the two rate functions."""
-    return [
-        (
-            t,
-            rate_function(t, PartSet.STRICT_POSITIVE),
-            rate_function(t, PartSet.NONZERO_VECTORS),
-        )
-        for t in t_grid
-    ]
+    """Rows (t, h(t), h_bar(t)) for plotting the two rate functions: one
+    batched root search per part set, so a one-point table equals
+    rate_function exactly and longer ones agree with it to ~1e-12 relative."""
+    h = _rates(t_grid, PartSet.STRICT_POSITIVE).tolist()
+    h_bar = _rates(t_grid, PartSet.NONZERO_VECTORS).tolist()
+    return list(zip(t_grid, h, h_bar))

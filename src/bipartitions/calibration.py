@@ -1,9 +1,10 @@
 """Calibration of the Gibbs shape parameters.
 
 Solves the implicit equation Theta(alpha) = n1/sqrt(n2) (barred variant for
-the part set with axis parts) by a safeguarded Newton loop, then sets beta
-from the second-moment equation.  Theta is strictly decreasing from +infinity
-to 0, so a bracket always exists and can be found by geometric expansion.
+the part set with axis parts) by a safeguarded Newton loop, batched over any
+number of ratios, then sets beta from the second-moment equation.  Theta is
+strictly decreasing from +infinity to 0, so a bracket always exists and can
+be found by geometric expansion.
 """
 
 from __future__ import annotations
@@ -11,10 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exact_count import PartSet, Target
 from .special_functions import ZETA2, _phi_and_derivatives
 
 MAX_ITER = 200
+MAX_STACK = 1024
 
 
 class ConvergenceError(ValueError):
@@ -43,64 +47,78 @@ class CalibrationResult:
     residuals: tuple[float, float]  # relative defects of the two equations
 
 
-def _theta_and_slope(alpha: float, barred: bool) -> tuple[float, float]:
-    """Theta and its derivative from one pass over (Phi, Phi', Phi'').
+def theta_roots(t, barred: bool, rel_tol: float = 1e-12):
+    """(alpha, P, Phi') at the root of Theta(alpha) = t for each ratio of t,
+    P = Phi (+ pi^2/6 if barred) and Phi' from the pass that accepted it.
 
-    Theta = -Phi'/sqrt(P) with P = Phi (+ pi^2/6 if barred), so
-    Theta' = -Phi''/sqrt(P) - Theta Phi'/(2P); no power of P is formed, as
-    P^{3/2} underflows long before P does (P ~ e^{-alpha} for large alpha).
+    One safeguarded Newton loop from alpha = 1 over all unconverged ratios,
+    one stacked (Phi, Phi', Phi'') pass per step.  Theta falls from +inf to 0,
+    so each evaluation narrows a ratio's bracket (lo, hi); alpha doubles or
+    halves until both sides are known, then a Newton step that leaves the
+    bracket is replaced by bisection.  Beyond alpha ~ 709.78 (e^alpha
+    overflows) Phi' is 0.0 and Theta 0.0 or nan, which counts as below t; a
+    bracket that shrinks onto such an alpha means the root is not
+    representable.  A bad ratio raises ValueError before any pass; a failed
+    search raises ConvergenceError naming its ratio and bracket.
     """
-    p, dp, ddp = _phi_and_derivatives(alpha)
-    if barred:
-        p += ZETA2
-    root = math.sqrt(p)
-    value = -dp / root
-    return value, -ddp / root - value * dp / (2.0 * p)
+    t = np.asarray(t, dtype=float).reshape(-1)
+    bad = ~(np.isfinite(t) & (t > 0))
+    if bad.any():
+        raise ValueError(f"target ratio must be a positive real, got {t[bad][0].item()!r}")
+    n = t.size
+    alpha, p_root, dp_root = np.ones(n), np.empty(n), np.empty(n)
+    # the unconverged ratios: index, ratio, alpha, bracket, Theta(hi) - ratio
+    i, ti, x, lo, hi, f_hi = np.arange(n), t, alpha.copy(), np.zeros(n), np.full(n, np.inf), -t
 
+    def failure(message, k):
+        bracket = (lo[k].item(), hi[k].item())
+        return ConvergenceError(message.format(ti[k].item()), bracket)
 
-def solve_theta(t: float, barred: bool, rel_tol: float = 1e-12) -> float:
-    """Unique alpha > 0 with Theta(alpha) = t (barred variant if asked).
-
-    One safeguarded Newton loop from alpha = 1.  Theta decreases from +inf to
-    0, so every evaluation narrows the bracket (lo, hi) around the root.
-    While a side of the bracket is still unknown alpha doubles or halves;
-    after that a Newton step that leaves the bracket is replaced by bisection.
-    Where Phi underflows to 0.0, Theta counts as below t; if the bracket then
-    shrinks onto such an alpha, the root is not representable.
-    """
-    if not (t > 0 and math.isfinite(t)):
-        raise ValueError(f"target ratio must be a positive real, got {t!r}")
-    lo, hi, underflow = 0.0, math.inf, math.inf
-    a = 1.0
     for _ in range(MAX_ITER):
-        if not (1e-12 <= a <= 1e6):
-            raise ConvergenceError("root lies outside [1e-12, 1e6]", (lo, hi))
-        try:
-            value, slope = _theta_and_slope(a, barred)
-        except ZeroDivisionError:  # Phi is 0.0 beyond alpha ~ 709.78, where e^alpha overflows
-            value, slope, underflow = 0.0, math.inf, a  # so a bounds the root above
-        fa = value - t
-        if abs(fa) <= rel_tol * t:
-            return a
-        if fa > 0.0:
-            lo = a
-        else:
-            hi = a
-        if hi == math.inf:
-            candidate = 2.0 * a
-        elif lo == 0.0:
-            candidate = 0.5 * a
-        else:
-            candidate = a - fa / slope
-            if not (lo < candidate < hi):
-                candidate = 0.5 * (lo + hi)  # Newton overshoot: bisect
-        if candidate == a:  # converged, or the bracket has shrunk to one float
-            if hi == underflow:
-                msg = f"target ratio {t!r} is too small for double precision"
-                raise ConvergenceError(msg, (lo, hi))
-            return a
-        a = candidate
-    raise ConvergenceError("Newton iteration cap exceeded", (lo, hi))
+        if not i.size:
+            return alpha, p_root, dp_root
+        if not (1e-12 <= x.min() and x.max() <= 1e6):
+            outside = np.flatnonzero((x < 1e-12) | (x > 1e6))[0]
+            raise failure("root for target ratio {!r} lies outside [1e-12, 1e6]", outside)
+        # passes of at most MAX_STACK ratios bound the memory of a series block
+        passes = [_phi_and_derivatives(x[j : j + MAX_STACK]) for j in range(0, x.size, MAX_STACK)]
+        p, dp, ddp = np.concatenate(passes, axis=1)
+        if barred:
+            p += ZETA2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # Theta = -Phi'/sqrt(P), so Theta' = -Phi''/sqrt(P) - Theta Phi'/(2P);
+            # no power of P is formed, as P^{3/2} underflows long before P does
+            root = np.sqrt(p)
+            theta = -dp / root
+            fa = theta - ti
+            newton = x - fa / (-ddp / root - theta * dp / (2.0 * p))
+        above = fa > 0.0
+        lo = np.where(above, x, lo)
+        hi, f_hi = np.where(above, hi, x), np.where(above, f_hi, fa)
+        step = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
+        step = np.where(hi == np.inf, 2.0 * x, np.where(lo == 0.0, 0.5 * x, step))
+        converged = np.abs(fa) <= rel_tol * ti
+        done = converged | (step == x)  # or the bracket has shrunk to one float
+        if done.any():
+            # f_hi is nan or -ti where Phi' underflowed at hi
+            lost = np.flatnonzero(done & ~converged & ~(f_hi > -ti))
+            if lost.size:
+                raise failure("target ratio {!r} is too small for double precision", lost[0])
+            j = i[done]
+            alpha[j], p_root[j], dp_root[j] = x[done], p[done], dp[done]
+            keep = ~done
+            i, ti, step, lo, hi, f_hi = (v[keep] for v in (i, ti, step, lo, hi, f_hi))
+        x = step
+    raise failure("Newton iteration cap exceeded at target ratio {!r}", 0)
+
+
+def solve_theta(t, barred: bool, rel_tol: float = 1e-12):
+    """Unique alpha > 0 with Theta(alpha) = t (barred variant if asked), or an
+    array of roots for an array of ratios, all solved by :func:`theta_roots`.
+    |Theta(alpha)/t - 1| <= rel_tol up to the series' relative error, ~1e-12.
+    """
+    alpha = theta_roots(t, barred, rel_tol)[0]
+    return alpha.item() if np.ndim(t) == 0 else alpha.reshape(np.shape(t))
 
 
 def calibrate(
@@ -109,17 +127,14 @@ def calibrate(
     """Solve the two implicit shape-parameter equations for the target.
 
     alpha solves Theta(alpha) = n1/sqrt(n2); beta is set from the stabler
-    equation beta = sqrt(P(alpha)/n2), and the first equation
-    -Phi'(alpha)/beta = n1 is reported as a residual check.
+    equation beta = sqrt(P(alpha)/n2) (P from the root's series pass), and
+    the first equation -Phi'(alpha)/beta = n1 is reported as a residual check.
     """
     if target.n1 < 1 or target.n2 < 1:
         raise ValueError(f"calibration requires n1, n2 >= 1, got {target}")
     barred = part_set is PartSet.NONZERO_VECTORS
     t = target.n1 / math.sqrt(target.n2)
-    alpha = solve_theta(t, barred, rel_tol)
-    p, dp, _ = _phi_and_derivatives(alpha)
-    if barred:
-        p += ZETA2
+    alpha, p, dp = (v.item() for v in theta_roots(t, barred, rel_tol))
     beta = math.sqrt(p / target.n2)
     r1 = abs(-dp / beta - target.n1) / target.n1
     r2 = abs(p / beta**2 - target.n2) / target.n2

@@ -5,8 +5,9 @@ non-positive integers via Bernoulli numbers.
 Every infinite r-series of the package is summed by one numpy-blocked kernel,
 :func:`_series`, whose tail bound is below the absolute tolerance; as every
 geometric factor comes from expm1, results are within tol plus rounding of a
-few eps * |value|, also at small alpha.  Derivatives always come from the
-differentiated series, never from finite differences.
+few eps * |value|, also at small alpha, and relative to the first term for
+the Dirichlet-type sums beyond alpha = log 2.  Derivatives always come from
+the differentiated series, never from finite differences.
 """
 
 from __future__ import annotations
@@ -21,15 +22,21 @@ ZETA2 = math.pi**2 / 6
 
 DEFAULT_TOL = 1e-12
 
-# the first block is small because at large alpha ~10 terms suffice; later
-# blocks double up to a cap that bounds the memory of one block
-_FIRST_BLOCK = 16
+# a block's cost is mostly per-call overhead, so the first block holds the
+# ~60 terms that alpha >= 0.5 needs at tol = 1e-12; later blocks double up to
+# caps on the terms per series and on the cells (terms x series) of a block,
+# which bound its memory however many series are stacked
+_FIRST_BLOCK = 64
 _MAX_BLOCK = 4096
+_MAX_BLOCK_CELLS = 2**18
 _MAX_TERMS = 100_000_000
+_TINY = np.finfo(float).tiny
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 0):
+def _check_alpha(alpha) -> None:
+    a = np.asarray(alpha)
+    # nan fails both comparisons
+    if not (a.dtype.kind in "iuf" and a.ndim <= 1 and a.size and 0 < a.min() and a.max() < np.inf):
         raise ValueError(f"alpha must be a finite positive real, got {alpha!r}")
 
 
@@ -53,11 +60,13 @@ def _series(block, decay: float, growth: float, tol: float):
     (value, terms, tail_bound), value holding one sum per stacked series.
 
     ``block`` maps an array of r to the terms, or to several series stacked
-    on a leading axis.  Each must obey |t(r+1)| <= q_r |t(r)| with
-    q_r = e^{-decay} ((r+1)/r)^growth, growth >= 0.  q_r falls with r, so once
-    q_r < 1 the tail after r is at most |t(r)| q_r / (1 - q_r); the sum stops
-    at the first r where that is below tol for every series.  Summands that
-    do not shrink regularly are certified by stacking a real majorant that does.
+    on leading axes (such as one row block per alpha).  Each must obey
+    |t(r+1)| <= q_r |t(r)| with q_r = e^{-decay} ((r+1)/r)^growth, growth >= 0.
+    q_r falls with r, so once q_r < 1 the tail after r is at most
+    |t(r)| q_r / (1 - q_r); the sum stops at the first r where that is below
+    tol for every series: absolute in the terms' units, so relative to u for
+    a series scaled by 1/u.  Summands that do not shrink regularly are
+    certified by stacking a real majorant that does.
     """
     parts = []
     start, size = 1, _FIRST_BLOCK
@@ -74,25 +83,37 @@ def _series(block, decay: float, growth: float, tol: float):
         if done.size:
             return sum(parts).tolist(), start + stop - 1, float(tails[stop - 1])
         start += size
-        size = min(2 * size, _MAX_BLOCK)
+        size = max(_FIRST_BLOCK, min(2 * size, _MAX_BLOCK, _MAX_BLOCK_CELLS // len(terms)))
     raise ValueError("series failed to converge within the term cap")
 
 
-def _dirichlet_series(alpha: float, s: float, order: int, tol: float):
+def _dirichlet_series(alpha, s: float, order: int, tol: float):
     """The kernel's (value, terms, tail_bound) for value[k] = D^(k)(alpha)
-    = (-1)^k sum_r r^{k-s} G_k(alpha r), k = 0..order, in one pass."""
+    = (-1)^k sum_r r^{k-s} G_k(alpha r), k = 0..order, in one pass.
+
+    alpha is a float or a 1-D array (value[k] then lists one sum per alpha;
+    min(alpha) bounds every ratio).  Each alpha's rows are summed in units of
+    u = min(1, G0(alpha)) > 0, in which tail_bound is stated: error < tol * u.
+    """
     _check_alpha(alpha)
     _check_tol(tol)
+    a = np.asarray(alpha, dtype=float)
+    unit = np.maximum(np.minimum(np.exp(-a) / -np.expm1(-a), 1.0), _TINY)  # G0, no overflow
+    a_col, unit_col = a.reshape(-1, 1), unit.reshape(-1, 1)
+    k = np.arange(order + 1.0)[:, None]
 
     def block(r):
-        g = _geometric(alpha * r)
-        return np.stack([(-1.0) ** k * r ** (k - s) * g[k] for k in range(order + 1)])
+        g = np.stack(_geometric(a_col * r)[: order + 1])
+        g *= ((-1.0) ** k * r ** (k - s))[:, None]
+        g /= unit_col
+        return g
 
-    return _series(block, alpha, max(0.0, order - s), tol)
+    value, terms, tail = _series(block, a.min(), max(0.0, order - s), tol)
+    return (np.reshape(value, (order + 1,) + a.shape) * unit).tolist(), terms, tail
 
 
-def _phi_and_derivatives(alpha: float, tol: float = DEFAULT_TOL):
-    """[Phi, Phi', Phi''] from one pass over r."""
+def _phi_and_derivatives(alpha, tol: float = DEFAULT_TOL):
+    """[Phi, Phi', Phi''] from one pass over r (lists for an array of alpha)."""
     return _dirichlet_series(alpha, 2.0, 2, tol)[0]
 
 

@@ -198,6 +198,17 @@ class TestRates:
         slope = math.log2(abs(residual(0.05) / residual(0.025)))
         assert slope == pytest.approx(2 * K + 3, abs=0.1)
 
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 1.0, 7.0])
+    def test_one_point_table_is_rate_function(self, t):
+        h = rate_function(t, PartSet.STRICT_POSITIVE)
+        h_bar = rate_function(t, PartSet.NONZERO_VECTORS)
+        assert rate_table([t]) == [(t, h, h_bar)]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_table_refuses_bad_ratio(self, bad):
+        with pytest.raises(ValueError, match="target ratio must be a positive real"):
+            rate_table([0.5, bad])
+
     def test_table_shape(self):
         rows = rate_table([0.5, 1.0])
         assert len(rows) == 2

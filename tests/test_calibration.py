@@ -1,12 +1,17 @@
 """Unit tests for the shape-parameter calibration solver."""
 
+import itertools
+
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipartitions import calibration, special_functions
-from bipartitions.asymptotics import gibbs_mean
+from bipartitions.asymptotics import gibbs_mean, rate_table
 from bipartitions.calibration import (
+    ConvergenceError,
     ShapeParams,
     calibrate,
     order_checks,
@@ -14,6 +19,45 @@ from bipartitions.calibration import (
 )
 from bipartitions.exact_count import PartSet, Target
 from bipartitions.special_functions import _phi_and_derivatives, theta
+
+# the 100-point default `bipart rates` grid plus three extreme ratios
+GRID = [0.01 + i * (4.0 - 0.01) / 99 for i in range(100)] + [1e-3, 50.0, 1e5]
+
+
+def count_series_passes(monkeypatch) -> list:
+    """Record every (Phi, Phi', Phi'') pass the solver makes."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _phi_and_derivatives(*args, **kwargs)
+
+    monkeypatch.setattr(special_functions, "_phi_and_derivatives", counted)
+    monkeypatch.setattr(calibration, "_phi_and_derivatives", counted)
+    return calls
+
+
+def theta_reference(alpha: float, barred: bool):
+    """Theta(alpha) by direct 40-digit summation, for alpha >= 1.
+
+    The summands G0(alpha r)/r^2 and G1(alpha r)/r shrink by at least
+    e^{-alpha} <= 1/e per step, so once G1(alpha r) is below 1e-45 |Phi'| the
+    tail of either sum is below 1e-44 of its value.
+    """
+    with mpmath.workdps(40):
+        q = mpmath.exp(-mpmath.mpf(alpha))
+        y, p, dp = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)
+        for r in itertools.count(1):
+            y *= q
+            g0 = y / (1 - y)
+            g1 = g0 / (1 - y)
+            p += g0 / r**2
+            dp -= g1 / r
+            if g1 < mpmath.mpf("1e-45") * abs(dp):
+                break
+        if barred:
+            p += mpmath.zeta(2)
+        return -dp / mpmath.sqrt(p)
 
 
 class TestSolveTheta:
@@ -44,6 +88,51 @@ class TestSolveTheta:
         alpha = solve_theta(t, False)
         assert 512.0 < alpha < 709.78
         assert theta(alpha) == pytest.approx(t, rel=1e-10)
+
+    @pytest.mark.parametrize("barred", [False, True])
+    @pytest.mark.parametrize("t", [1e-3, 3e-3, 0.01, 0.02, 0.05])
+    def test_theta_against_mpmath(self, t, barred):
+        # at large alpha Phi and Phi' are ~e^{-alpha}: an absolute series
+        # tolerance would leave Theta(alpha-hat) off t by up to 4e-7
+        alpha = solve_theta(t, barred)
+        assert abs(theta_reference(alpha, barred) / t - 1) <= 1e-11
+
+    def test_barred_ratio_beyond_the_doubling_search(self):
+        # the doubling search overshoots to alpha = 1024, where Phi' is 0.0
+        # and the barred Theta is 0.0, and must bisect back to the root ~690
+        alpha = solve_theta(1e-300, True)
+        assert 512.0 < alpha < 709.78
+        assert theta(alpha, True) == pytest.approx(1e-300, rel=1e-10)
+
+    @pytest.mark.parametrize("t, barred", [(1e-300, False), (1e-310, True)])
+    def test_unrepresentable_root(self, t, barred):
+        with pytest.raises(ConvergenceError, match=f"target ratio {t!r} is too small"):
+            solve_theta(t, barred)
+
+    @pytest.mark.parametrize("barred", [False, True])
+    def test_batch_matches_single_solves(self, barred):
+        roots = solve_theta(np.array(GRID), barred)
+        assert roots.shape == (len(GRID),)
+        singles = [solve_theta(t, barred) for t in GRID]
+        assert roots.tolist() == pytest.approx(singles, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_batch_refuses_bad_ratio_before_any_pass(self, monkeypatch, bad):
+        calls = count_series_passes(monkeypatch)
+        with pytest.raises(ValueError, match="target ratio must be a positive real"):
+            solve_theta([0.5, bad, 1.0], False)
+        assert calls == []
+
+    def test_rate_table_passes(self, monkeypatch):
+        # the default grid is one batched root search per part set, which
+        # also yields P at the roots: no per-point passes
+        calls = count_series_passes(monkeypatch)
+        assert len(rate_table(GRID[:100])) == 100
+        assert len(calls) <= 60
+
+    def test_batch_names_unrepresentable_ratio(self):
+        with pytest.raises(ConvergenceError, match="target ratio 1e-300 is too small"):
+            solve_theta([1e-300, 1.0], False)
 
     def test_series_passes(self, monkeypatch):
         # the 100-point default `bipart rates` grid plus three extreme ratios,

@@ -110,6 +110,13 @@ class TestRates:
         assert code == 1
         assert err.startswith("error: target ratio 1e-300 is too small")
 
+    def test_unrepresentable_ratio_prints_no_rows(self, capsys):
+        code, out, err = run(
+            capsys, "rates", "--t-min", "1e-300", "--t-max", "1", "--steps", "2"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: target ratio 1e-300 is too small")
+
 
 class TestCompare:
     def test_small_grid(self, capsys):
@@ -125,6 +132,14 @@ class TestCompare:
         expected = count_table(PartSet.STRICT_POSITIVE, 5, 25).get(5, 25)
         assert int(p_exact) == expected
         float(log_pred), float(log_ratio)  # well-formed numbers
+
+    def test_log_ratio_digits(self, capsys):
+        # log_ratio carries the 10 decimals the calibration supports
+        code, out, _ = run(capsys, "compare", "--parts", "nonzero", "--n2-grid", "16,36")
+        assert code == 0
+        for row in out.strip().splitlines()[1:]:
+            log_ratio = row.split(",")[4]
+            assert len(log_ratio.split(".")[1]) == 10
 
     def test_one_table_for_the_grid(self, capsys, monkeypatch):
         calls = []
@@ -142,7 +157,7 @@ class TestCompare:
             p_exact = count_table(PartSet.NONZERO_VECTORS, n1, n2).get(n1, n2)
             log_pred = theorem_estimate(Target(n1, n2), PartSet.NONZERO_VECTORS).log_value
             log_ratio = math.log(p_exact) - log_pred
-            expected.append(f"{n2},{n1},{p_exact},{log_pred:.12g},{log_ratio:.12g}")
+            expected.append(f"{n2},{n1},{p_exact},{log_pred:.12g},{log_ratio:.10f}")
         assert out.splitlines() == expected
 
 

@@ -105,6 +105,16 @@ def test_kernel_tail_bound_below_tol(alpha):
         assert terms >= 1 and 0.0 <= tail < DEFAULT_TOL
 
 
+@pytest.mark.parametrize("alpha", [5.0, 12.0, 20.0])
+def test_phi_family_relative_at_large_alpha(alpha):
+    # the values are ~e^{-alpha}, so an absolute tol alone would say little;
+    # each alpha is summed in units of G0(alpha), which makes tol relative
+    ref = phi_family_reference(alpha)
+    got = (phi(alpha), phi_derivatives(alpha, 1), phi_derivatives(alpha, 2))
+    for name, g, v in zip(("Phi", "Phi'", "Phi''"), got, ref):
+        assert abs(g - v) <= DEFAULT_TOL * abs(v), f"{name}({alpha}) off by {abs(g / v - 1):.3g}"
+
+
 def test_log_z_and_mean_against_mpmath():
     a, b = 0.01, 0.02
     params = ShapeParams(a, b)
