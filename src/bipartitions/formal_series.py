@@ -5,15 +5,27 @@ Laurent polynomial with rational coefficients in one symbol ``a`` (``a``
 stands for the square root of zeta(2) and is never substituted numerically
 here).  Series arithmetic uses only the coefficients' own ``+ - * ==`` and
 ``Fraction(1) / c``, so Fractions and Laurent polynomials mix freely and no
-ring object is needed.  On top of it, this module derives the exact
-correction coefficients of the two explicit counting expansions: the
-rational sequence ``c_k`` and the Laurent sequence ``cbar_k``.
+ring object is needed.
+
+On top of it, this module derives the exact correction coefficients, the
+rational c_k and the Laurent cbar_k, of the two explicit counting expansions
+by Lagrange inversion.  With f(z) = sum_m sigma2(m) z^m/m^2, each expansion
+is read at the root z(w) of z = w phi(z), and [w^k] H(z(w)) = (1/k)
+[z^(k-1)] H' phi^k for k >= 1 (Flajolet & Sedgewick, Analytic
+Combinatorics, 2009, Thm A.2) gives
+
+    c_k = [z^k] (z H' - 1) phi^k / k    (phi = f/(z f'^2), H = 2f/(z f')),
+    cbar_k = -[z^k] phi^k / (k (k + 1))    (phi = sqrt(a^2 + f)/f')
+
+from the powers of phi alone, with no series reversion, composition or log.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 from .special_functions import sigma2
 
@@ -21,7 +33,7 @@ ZERO = Fraction(0)
 
 
 class AlgebraError(Exception):
-    """Raised when a series operation requires an invertible element."""
+    """Raised when a series operation or an exact identity of a pipeline fails."""
 
 
 # ---------------------------------------------------------------------------
@@ -35,13 +47,7 @@ class LaurentA:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict[int, Fraction] | None = None):
-        clean = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = Fraction(c)
-                if c != 0:
-                    clean[int(e)] = c
-        self.coeffs = clean
+        self.coeffs = {int(e): Fraction(c) for e, c in (coeffs or {}).items() if c != 0}
 
     @classmethod
     def from_rational(cls, value) -> "LaurentA":
@@ -55,11 +61,9 @@ class LaurentA:
         return not self.coeffs
 
     def _coerce(self, other) -> "LaurentA | None":
-        if isinstance(other, LaurentA):
-            return other
         if isinstance(other, (int, Fraction)):
             return LaurentA.from_rational(other)
-        return None
+        return other if isinstance(other, LaurentA) else None
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -67,7 +71,7 @@ class LaurentA:
             return NotImplemented
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, ZERO) + c
         return LaurentA(out)
 
     __radd__ = __add__
@@ -89,7 +93,7 @@ class LaurentA:
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, ZERO) + c1 * c2
         return LaurentA(out)
 
     __rmul__ = __mul__
@@ -151,17 +155,9 @@ class Series:
         if not self.coeffs:
             raise ValueError("a series needs at least the constant coefficient")
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
     @classmethod
     def constant(cls, value, order: int) -> "Series":
         return cls((value,) + (ZERO,) * order)
-
-    @classmethod
-    def variable(cls, order: int) -> "Series":
-        return cls((ZERO, Fraction(1))[: order + 1] + (ZERO,) * (order - 1))
 
     def __eq__(self, other):
         return isinstance(other, Series) and self.coeffs == other.coeffs
@@ -179,9 +175,6 @@ class Series:
         self._check(other)
         return Series(a - b for a, b in zip(self.coeffs, other.coeffs))
 
-    def __neg__(self) -> "Series":
-        return Series(-a for a in self.coeffs)
-
     def __mul__(self, other: "Series") -> "Series":
         self._check(other)
         out = [ZERO] * len(self.coeffs)
@@ -193,11 +186,8 @@ class Series:
         return Series(out)
 
     def _check(self, other: "Series") -> None:
-        if other.order != self.order:
+        if len(other.coeffs) != len(self.coeffs):
             raise ValueError("series truncation order mismatch")
-
-    def truncate(self, order: int) -> "Series":
-        return Series(self.coeffs[: order + 1])
 
     def scale(self, scalar) -> "Series":
         """Multiply every coefficient by a scalar (Fraction or LaurentA)."""
@@ -237,43 +227,6 @@ class Series:
             out.append((self.coeffs[n] - acc) / 2)
         return Series(out)
 
-    def log_of_unit(self) -> "Series":
-        """Logarithm of a series with constant term exactly one.
-
-        Uses log' = self'/self so only rational scalars are introduced.
-        """
-        if self.coeffs[0] != 1:
-            raise AlgebraError("log_of_unit requires constant term 1")
-        d = (self.derivative() * self.inverse()).coeffs
-        return Series([ZERO] + [d[k - 1] / k for k in range(1, len(d))])
-
-    def compose(self, inner: "Series") -> "Series":
-        """self(inner) at inner's order; inner must have zero constant term."""
-        if inner.coeffs[0] != 0:
-            raise AlgebraError("composition requires zero constant term")
-        K = inner.order
-        outer = self.coeffs[: K + 1]
-        result = Series.constant(outer[-1], K)
-        for c in reversed(outer[:-1]):  # Horner
-            result = result * inner + Series.constant(c, K)
-        return result
-
-    def reverse(self) -> "Series":
-        """Compositional inverse: z(w) with self(z(w)) = w.
-
-        Requires zero constant term and an invertible linear term g1.  Each
-        step of z <- z + (w - self(z))/g1 fixes one more coefficient (Brent &
-        Kung, J. ACM 1978), so order - 1 steps from z = w/g1 are exact.
-        """
-        if self.coeffs[0] != 0:
-            raise AlgebraError("reversion requires zero constant term")
-        inv1 = Fraction(1) / self.coeffs[1]
-        w = Series.variable(self.order)
-        z = w.scale(inv1)
-        for _ in range(self.order - 1):
-            z = z + (w - self.compose(z)).scale(inv1)
-        return z
-
 
 # ---------------------------------------------------------------------------
 # The two coefficient pipelines
@@ -302,67 +255,58 @@ MAX_ORDER_UNBARRED = 8
 MAX_ORDER_BARRED = 6
 
 
+def _powers(phi: Series, lead, K: int) -> list[Series]:
+    """phi^1 .. phi^(K-1) by K - 2 products; phi(0) must be lead, the leading
+    term of z(w) = lead w + ..., or the log terms do not cancel at order 0."""
+    if phi.coeffs[0] != lead:
+        raise AlgebraError(f"phi(0) = {phi.coeffs[0]} is not the leading term {lead}")
+    return list(accumulate(repeat(phi, K - 1), operator.mul))
+
+
 def corollary2_coeffs(K: int) -> CoeffReport:
     """Exact rational coefficients c_1 .. c_{K-1} of the strict expansion.
 
-    Pipeline: g(z) = (z f'(z))^2 / f(z); revert g(z) = w; form
-    E(w) = -log z(w) + 2 sqrt(f(z(w))/w); then c_k = [w^k](E + log w - 2),
-    the order-0 coefficient vanishing identically.
+    c_k = [w^k](E + log w - 2), where E(w) = -log z + 2 sqrt(f(z)/w) at the
+    root z(w) of w = (z f')^2/f.  That equation is z = w phi(z) with
+    phi = f/(z f'^2), and sqrt(f/w) = f/(z f'), so E + log w = -log phi(z)
+    + H(z) with H = 2f/(z f').  Lagrange inversion then gives
+    c_k = [z^k] (z H' - 1) phi^k / k.  H(0) = 2 (the Stirling constant) and
+    phi(0) = 1 make the order-0 coefficient vanish; both are checked.
     """
     if not (1 <= K <= MAX_ORDER_UNBARRED):
         raise ValueError(f"order must lie in [1, {MAX_ORDER_UNBARRED}]")
-    f = build_f(K + 1)
-
-    # f = z*F, z f' = z*F2 with F, F2 units; g = z * F2^2 / F
-    F = f.shift(-1)
-    F2 = f.derivative()  # = (z f')/z directly
-    g = (F2 * F2 * F.inverse()).shift(1).truncate(K)
-
-    z_of_w = g.reverse()
-    unit = z_of_w.shift(-1)  # z(w)/w, constant term 1
-    inner = f.compose(z_of_w).shift(-1)  # f(z(w))/w, constant term 1
-    E_shifted = -(unit.log_of_unit()) + inner.sqrt_of_unit().scale(2)
-    # E_shifted = E(w) + log w; subtract the Stirling constant 2
-    if E_shifted.coeffs[0] != 2:
-        raise AlgebraError(
-            "order-0 coefficient failed to reduce to the Stirling constant"
-        )
-    return CoeffReport(label="c", order=K, coefficients=E_shifted.coeffs[1:K])
+    f = build_f(K)
+    F, F2 = f.shift(-1), f.derivative()  # f = z F and f' = F2, both units
+    inv_F2 = F2.inverse()
+    H = (F * inv_F2).scale(2)
+    if H.coeffs[0] != 2:
+        raise AlgebraError("H(0) is not the Stirling constant 2")
+    weight = H.derivative().shift(1) - Series.constant(Fraction(1), K)
+    powers = _powers(F * inv_F2 * inv_F2, 1, K)
+    coefficients = tuple((weight * p).coeffs[k] / k for k, p in enumerate(powers, 1))
+    return CoeffReport(label="c", order=K, coefficients=coefficients)
 
 
 def corollary3_coeffs(K: int) -> CoeffReport:
     """Laurent-polynomial coefficients cbar_1 .. cbar_{K-1} (symbol a).
 
-    With fbar = a^2 + f: solve (z f'(z))^2 / fbar = w^2
-    for z(w) with leading term a*w via the square root
-    G(z) = z f'(z)/sqrt(fbar(z)) and reversion of G; then
-    Ebar(w) = -log z(w) + (2 sqrt(fbar(z(w))) - 2a)/w and
-    cbar_k = [w^k](Ebar + log w + log a - 1).  The log terms cancel at
-    order 0 by construction, which is asserted.
+    cbar_k = [w^k](Ebar + log w + log a - 1), where fbar = a^2 + f and
+    Ebar(w) = -log z + (2 sqrt(fbar(z)) - 2a)/w at the root z(w) of
+    w = z f'/sqrt(fbar).  That equation is z = w phi(z) with
+    phi = sqrt(fbar)/f', and H = 2 sqrt(fbar) satisfies H' phi = 1, so
+    Lagrange inversion gives cbar_k = -[z^k] phi^k / (k (k + 1)).
+    phi(0) = a, the leading term of z(w), cancels the log terms at order 0;
+    it is checked.
     """
     if not (1 <= K <= MAX_ORDER_BARRED):
         raise ValueError(f"order must lie in [1, {MAX_ORDER_BARRED}]")
     a = LaurentA.monomial(1, 1)
-    inv_a2 = LaurentA.monomial(1, -2)
-
-    f = build_f(K + 1)
+    f = build_f(K)
     # sqrt(fbar) = a * sqrt(1 + f/a^2)
-    one = Series.constant(Fraction(1), f.order)
-    sqrt_fbar = (f.scale(inv_a2) + one).sqrt_of_unit().scale(a)
-    G = (f.derivative().shift(1) * sqrt_fbar.inverse()).truncate(K)
-
-    z_of_w = G.reverse()  # leading coefficient a
-    unit = z_of_w.shift(-1).scale(1 / a)  # z(w)/(a w)
-    if unit.coeffs[0] != 1:
-        raise AlgebraError("reversion did not produce the expected leading term")
-
-    # (2 sqrt(fbar(z(w))) - 2a)/w over the w-ring
-    one = one.truncate(K)
-    sq = (f.compose(z_of_w).scale(inv_a2) + one).sqrt_of_unit()
-    correction = (sq - one).scale(2 * a).shift(-1)
-
-    # Ebar + log w + log a = -log(z/(a w)) + correction
-    total = -(unit.log_of_unit()) + correction
-    if total.coeffs[0] != 1:
-        raise AlgebraError("order-0 coefficient failed to cancel the log terms")
-    return CoeffReport(label="cbar", order=K, coefficients=total.coeffs[1:K])
+    one = Series.constant(Fraction(1), K)
+    sqrt_fbar = (f.scale(LaurentA.monomial(1, -2)) + one).sqrt_of_unit().scale(a)
+    powers = _powers(sqrt_fbar * f.derivative().inverse(), a, K)
+    coefficients = tuple(
+        p.coeffs[k] * Fraction(-1, k * (k + 1)) for k, p in enumerate(powers, 1)
+    )
+    return CoeffReport(label="cbar", order=K, coefficients=coefficients)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import gibbs_covariance, gibbs_mean, log_z_direct
+from .asymptotics import _log_z_sums, gibbs_covariance
 from .calibration import ShapeParams, calibrate
 from .exact_count import CountTable, PartSet, Target, count_table
 from .special_functions import DEFAULT_TOL, _check_tol, _geometric, _series
@@ -219,10 +219,6 @@ def char_fn_bound(params: ShapeParams, t: tuple[float, float]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _covariance_matrix(params: ShapeParams, part_set: PartSet) -> np.ndarray:
-    return np.array(gibbs_covariance(params, part_set), dtype=float)
-
-
 def _inv_sqrt(matrix: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(matrix)
     if w[0] <= 0:
@@ -277,7 +273,7 @@ def _lyapunov_lattice(params: ShapeParams, part_set: PartSet, tol: float = 1e-10
     # no row cut comes before row reach(a), no column cut before reach(b)
     _check_cells(reach(a) * reach(b), a, b)
     angles = np.pi * np.arange(N_DIRECTIONS) / N_DIRECTIONS
-    whiten = _inv_sqrt(_covariance_matrix(params, part_set))
+    whiten = _inv_sqrt(np.array(gibbs_covariance(params, part_set)))
     t1, t2 = whiten @ np.stack([np.cos(angles), np.sin(angles)])
     # |t.x| = |c1 x1 + d x2| with d >= 0, and |t.x| <= u x1 + v x2 for every t
     c1, d = np.where(t2 < 0, -t1, t1), np.abs(t2)
@@ -376,6 +372,7 @@ def llt_check(
 
     P(N = n) comes from the exact count and log Z; the Gaussian prediction
     includes the mean-offset factor exp(-||Gamma^{-1/2}(n - E N)||^2 / 2).
+    Gamma, log Z and E N come from one log-Z pass.
     """
     if table is None:
         table = count_table(part_set, target.n1, target.n2)
@@ -389,14 +386,14 @@ def llt_check(
 
     cal = calibrate(target, part_set)
     params = cal.params
-    gamma = _covariance_matrix(params, part_set)
+    log_z, mean1, mean2, caa, cab, cbb = _log_z_sums(params, part_set, DEFAULT_TOL)
+    gamma = np.array([[caa, cab], [cab, cbb]])
     det_gamma = float(np.linalg.det(gamma))
     eigvals = np.linalg.eigvalsh(gamma)
     sigma_sq = float(eigvals[0])
     lyap, cells, tail_bound = _lyapunov_lattice(params, part_set)
     ellipse_radius = 1.0 / (4.0 * lyap)
 
-    log_z = log_z_direct(params, part_set)
     log_p_n = (
         math.log(p_exact)
         - (params.alpha * target.n1 + params.beta * target.n2)
@@ -406,8 +403,7 @@ def llt_check(
         math.log(2.0 * math.pi) + 0.5 * math.log(det_gamma) + log_p_n
     )
 
-    mean = np.array(gibbs_mean(params, part_set))
-    offset = _inv_sqrt(gamma) @ (np.array([target.n1, target.n2], dtype=float) - mean)
+    offset = _inv_sqrt(gamma) @ np.array([target.n1 - mean1, target.n2 - mean2])
     gaussian_pred = math.exp(-0.5 * float(offset @ offset)) / (
         2.0 * math.pi * math.sqrt(det_gamma)
     )

@@ -212,9 +212,13 @@ def theta(alpha: float, barred: bool = False, tol: float = DEFAULT_TOL) -> float
     """Theta(alpha) = -Phi'(alpha)/sqrt(Phi(alpha)); barred uses Phi-bar.
 
     The barred variant keeps the same numerator since Phi-bar' = Phi'.
+    Past alpha ~ 709.78 Phi underflows to 0.0, and the strict variant raises
+    ValueError.
     """
     p, dp, _ = _phi_and_derivatives(alpha, tol)
     denom = math.sqrt(p + ZETA2) if barred else math.sqrt(p)
+    if denom == 0.0:
+        raise ValueError(f"Phi({alpha!r}) underflows to 0.0, so Theta is not representable")
     return -dp / denom
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from bipartitions import cli, gibbs, special_functions
 from bipartitions.asymptotics import theorem_estimate
 from bipartitions.cli import main
 from bipartitions.exact_count import PartSet, Target, count_table
+
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
 
 
 def run(capsys, *argv):
@@ -73,6 +76,14 @@ class TestCoeffs:
             "cbar_2 = -145/72 * a^2 + 5/8",
             "cbar_3 = 6 * a^3 - 1385/576 * a^1 + 5/32 * a^-1 + 1/192 * a^-3",
         ]
+
+    @pytest.mark.parametrize(
+        "variant, order, golden", [("c", "8", "coeffs_c8.txt"), ("cbar", "6", "coeffs_cbar6.txt")]
+    )
+    def test_golden_lines(self, capsys, variant, order, golden):
+        code, out, err = run(capsys, "coeffs", "--variant", variant, "--order", order)
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / golden).read_text()
 
     def test_order_out_of_range(self, capsys):
         code, out, err = run(capsys, "coeffs", "--variant", "c", "--order", "20")

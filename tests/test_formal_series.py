@@ -1,15 +1,18 @@
 """Unit tests for the exact series algebra and the coefficient pipelines."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bipartitions import formal_series
 from bipartitions.formal_series import (
     AlgebraError,
     LaurentA,
     Series,
+    _powers,
     build_f,
     corollary2_coeffs,
     corollary3_coeffs,
@@ -54,28 +57,6 @@ class TestSeriesAlgebra:
         geo = one_minus_z.inverse()
         assert geo.coeffs == tuple(Fraction(1) for _ in range(7))
 
-    def test_log_of_unit(self):
-        s = rational_series(5, [1, 1, 0, 0, 0, 0])  # 1 + z
-        log = s.log_of_unit()
-        assert log.coeffs == (
-            Fraction(0),
-            Fraction(1),
-            Fraction(-1, 2),
-            Fraction(1, 3),
-            Fraction(-1, 4),
-            Fraction(1, 5),
-        )
-
-    def test_reverse_known(self):
-        # g(z) = z/(1 - z) has compositional inverse w/(1 + w)
-        K = 6
-        z = Series.variable(K)
-        one = Series.constant(Fraction(1), K)
-        g = z * (one - z).inverse()
-        inv = g.reverse()
-        expected = z * (one + z).inverse()
-        assert inv == expected
-
     @given(st.lists(fractions_st, min_size=5, max_size=5))
     @settings(max_examples=30, deadline=None)
     def test_sqrt_of_unit_squares_back(self, tail):
@@ -83,23 +64,11 @@ class TestSeriesAlgebra:
         root = s.sqrt_of_unit()
         assert root * root == s
 
-    @given(fractions_st.filter(lambda c: c != 0), st.lists(fractions_st, min_size=4, max_size=4))
-    @settings(max_examples=30, deadline=None)
-    def test_reverse_round_trip(self, lin, tail):
-        g = rational_series(5, [0, lin] + tail)
-        inv = g.reverse()
-        assert g.compose(inv) == Series.variable(5)
-
     def test_shift_exactness(self):
         s = rational_series(4, [0, 0, 1, 2, 3])
         assert s.shift(-2).coeffs == (1, 2, 3, 0, 0)
         with pytest.raises(AlgebraError):
             rational_series(4, [0, 1, 0, 0, 0]).shift(-2)
-
-    def test_compose_requires_nilpotent(self):
-        s = rational_series(3, [1, 1, 1, 1])
-        with pytest.raises(AlgebraError):
-            s.compose(rational_series(3, [1, 1, 0, 0]))
 
     def test_mismatched_orders(self):
         with pytest.raises(ValueError):
@@ -116,12 +85,44 @@ class TestSeriesAlgebra:
         g = Series(
             [Fraction(0), a, Fraction(-3, 2), a * a + 1, LaurentA.monomial(2, -1), Fraction(7)]
         )
-        inv = g.reverse()
-        assert inv.coeffs[1] == LaurentA.monomial(1, -1)
-        assert g.compose(inv) == Series.variable(K)
+        unit = g.shift(-1)  # constant term a
+        inv = unit.inverse()
+        assert inv.coeffs[0] == LaurentA.monomial(1, -1)
+        assert inv.coeffs[1] == LaurentA.monomial(Fraction(3, 2), -2)
+        assert unit * inv == Series.constant(Fraction(1), K)
         s = g.scale(a) + Series.constant(a, K)  # constant term a is a monomial
         assert s * s.inverse() == Series.constant(Fraction(1), K)
         assert Fraction(1) / a == LaurentA.monomial(1, -1)
+        # a Fraction coefficient meets a Laurent one inside the square root
+        mixed = Series([Fraction(1), a, Fraction(1), Fraction(0), a, Fraction(0)])
+        root = mixed.sqrt_of_unit()
+        assert root * root == mixed
+
+
+class TestLagrange:
+    def test_catalan(self):
+        # z = w / (1 - z) is solved by z(w) = sum_k Catalan(k - 1) w^k, and
+        # Lagrange inversion reads [w^k] z = [z^(k-1)] phi^k / k
+        K = 9
+        phi = Series([Fraction(1), Fraction(-1)] + [Fraction(0)] * (K - 1)).inverse()
+        powers = _powers(phi, 1, K)
+        assert len(powers) == K - 1
+        assert [p.coeffs[k - 1] / k for k, p in enumerate(powers, 1)] == [
+            Fraction(math.comb(2 * k, k), k + 1) for k in range(K - 1)
+        ]
+
+    def test_leading_term_is_checked(self):
+        with pytest.raises(AlgebraError):
+            _powers(Series([Fraction(2), Fraction(1)]), 1, 3)
+
+    @pytest.mark.parametrize("pipeline", [corollary2_coeffs, corollary3_coeffs])
+    def test_pipelines_check_the_leading_term(self, monkeypatch, pipeline):
+        # doubling f makes phi(0) half the leading term of z(w)
+        monkeypatch.setattr(
+            formal_series, "build_f", lambda K: build_f(K).scale(Fraction(2))
+        )
+        with pytest.raises(AlgebraError, match="leading term"):
+            pipeline(4)
 
 
 class TestBuildF:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bipartitions import asymptotics, gibbs
 from bipartitions.asymptotics import gibbs_covariance, log_z_direct
 from bipartitions.calibration import ShapeParams, calibrate
 from bipartitions.exact_count import PartSet, Target, count_table
@@ -296,6 +297,23 @@ class TestLLT:
         assert int(payload["p_exact_decimal_string"]) == report.p_exact
         assert report.det_gamma > 0 and report.sigma_sq > 0
         assert 0.1 < report.normalized_ratio < 10.0
+
+    def test_one_log_z_pass(self, monkeypatch):
+        # Gamma, log Z and E N come from one pass; the Lyapunov lattice makes
+        # the only other one, for Gamma at its own (possibly swapped) rates
+        passes = []
+
+        def counted(params, part_set, tol):
+            passes.append(params)
+            return original(params, part_set, tol)
+
+        original = asymptotics._log_z_sums
+        monkeypatch.setattr(asymptotics, "_log_z_sums", counted)
+        monkeypatch.setattr(gibbs, "_log_z_sums", counted)
+        report = llt_check(Target(8, 64), NONZERO)
+        assert len(passes) == 2
+        assert report.gamma == gibbs_covariance(report.params, NONZERO)
+        assert report.extras["log_z"] == log_z_direct(report.params, NONZERO)
 
     def test_reuses_table(self):
         target = Target(6, 36)

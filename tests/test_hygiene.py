@@ -1,6 +1,6 @@
 """Source hygiene: every name a module or test file imports is used, every
-private module-level name of the package is read somewhere in it, and no
-line is longer than MAX_LINE characters."""
+private module-level name and every non-dunder method of the package is read
+somewhere in it, and no line is longer than MAX_LINE characters."""
 
 import ast
 from pathlib import Path
@@ -104,4 +104,46 @@ def test_no_dead_private_names():
     assert sources
     defined = set().union(*map(private_definitions, sources))
     read = set().union(*map(read_names, sources))
+    assert sorted(defined - read) == []
+
+
+def method_definitions(source: str) -> set[str]:
+    """Non-dunder methods (properties and classmethods too) of the source's classes."""
+    return {
+        item.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef)
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+    }
+
+
+def read_attributes(source: str) -> set[str]:
+    """Attribute names the source reads, as in obj.name."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_method_detector():
+    source = (
+        "class C:\n    def __init__(self):\n        self.x = self.used()\n"
+        "    def used(self):\n        return C.build\n    def dead(self):\n        return 1\n"
+        "    @property\n    def size(self):\n        return 0\n"
+        "    @classmethod\n    def build(cls):\n        return cls().size\n"
+        "    @classmethod\n    def never(cls):\n        return cls\n"
+        "def dead():\n    return C().x\n"
+    )
+    assert method_definitions(source) == {"used", "dead", "size", "build", "never"}
+    assert method_definitions(source) - read_attributes(source) == {"dead", "never"}
+
+
+def test_no_dead_methods():
+    sources = [path.read_text() for path in ROOT.glob("src/bipartitions/*.py")]
+    assert sources
+    defined = set().union(*map(method_definitions, sources))
+    read = set().union(*map(read_attributes, sources))
     assert sorted(defined - read) == []

@@ -162,6 +162,13 @@ class TestThetaDelta:
             assert theta(lo) > theta(hi)
             assert theta(lo, barred=True) > theta(hi, barred=True)
 
+    def test_underflowing_phi_is_reported(self):
+        # Phi is 0.0 past alpha ~ 709.78, where e^alpha overflows
+        assert theta(709.0) > 0.0
+        with pytest.raises(ValueError, match="800.0"):
+            theta(800.0)
+        assert theta(800.0, barred=True) == 0.0
+
     def test_delta_frozen_and_positive(self):
         assert delta(1.0) == pytest.approx(1.844026036440203, rel=1e-11)
         assert delta(1.0, barred=True) == pytest.approx(9.48139099797951, rel=1e-11)
