@@ -1,99 +1,2 @@
 """Bipartite integer partitions: exact counting, Gibbs calibration,
 asymptotic evaluation and local-limit diagnostics."""
-
-from .asymptotics import (
-    AsymptoticEstimate,
-    LogZExpansion,
-    gibbs_covariance,
-    gibbs_mean,
-    log_z_direct,
-    log_z_expansion,
-    rate_function,
-    rate_table,
-    theorem_estimate,
-)
-from .calibration import CalibrationResult, ShapeParams, calibrate, order_checks
-from .exact_count import (
-    CountTable,
-    PartSet,
-    Target,
-    count_1d,
-    count_naive,
-    count_table,
-)
-from .formal_series import (
-    CoeffReport,
-    LaurentA,
-    Series,
-    build_f,
-    corollary2_coeffs,
-    corollary3_coeffs,
-)
-from .gibbs import (
-    LLTReport,
-    SampledPartition,
-    SamplerSpec,
-    char_fn,
-    llt_check,
-    lyapunov_bound,
-    sample,
-    sample_batch,
-)
-from .special_functions import (
-    delta,
-    dirichlet,
-    phi,
-    phi_derivatives,
-    phi_lambert,
-    psi,
-    sigma2,
-    theta,
-    zeta_neg,
-)
-
-__all__ = [
-    "AsymptoticEstimate",
-    "CalibrationResult",
-    "CoeffReport",
-    "CountTable",
-    "LLTReport",
-    "LaurentA",
-    "LogZExpansion",
-    "PartSet",
-    "SampledPartition",
-    "SamplerSpec",
-    "Series",
-    "ShapeParams",
-    "Target",
-    "build_f",
-    "calibrate",
-    "char_fn",
-    "corollary2_coeffs",
-    "corollary3_coeffs",
-    "count_1d",
-    "count_naive",
-    "count_table",
-    "delta",
-    "dirichlet",
-    "gibbs_covariance",
-    "gibbs_mean",
-    "llt_check",
-    "log_z_direct",
-    "log_z_expansion",
-    "lyapunov_bound",
-    "order_checks",
-    "phi",
-    "phi_derivatives",
-    "phi_lambert",
-    "psi",
-    "rate_function",
-    "rate_table",
-    "sample",
-    "sample_batch",
-    "sigma2",
-    "theorem_estimate",
-    "theta",
-    "zeta_neg",
-]
-
-__version__ = "0.1.0"

@@ -31,16 +31,10 @@ from .special_functions import (
 MAX_EXPANSION_ORDER = 8
 
 
-def _check_params(params: ShapeParams) -> None:
-    if not (params.alpha > 0 and params.beta > 0):
-        raise ValueError(f"parameters must be positive, got {params}")
-
-
 def _log_z_sums(params: ShapeParams, part_set: PartSet, tol: float) -> tuple:
     """(log Z, E N1, E N2, Var N1, Cov, Var N2), one r-pass per part family:
     log Z = sum_r G0(a r) G0(b r)/r (+ Psi(a) + Psi(b) for the axis families),
     and each derivative in a or b turns G_k into -r G_{k+1}."""
-    _check_params(params)
     a, b = params.alpha, params.beta
 
     def block(r):
@@ -88,14 +82,10 @@ def log_z_expansion(
     params: ShapeParams, part_set: PartSet, m: int, tol: float = DEFAULT_TOL
 ) -> LogZExpansion:
     """Residue expansion of log Z to order m in beta (strict part set only)."""
-    _check_params(params)
     if not (0 <= m <= MAX_EXPANSION_ORDER):
         raise ValueError(f"expansion order must lie in [0, {MAX_EXPANSION_ORDER}]")
     if part_set is not PartSet.STRICT_POSITIVE:
-        raise ValueError(
-            "the residue expansion applies to the strict part set; the nonzero "
-            "variant is only exposed through log_z_nonzero_remark"
-        )
+        raise ValueError("the residue expansion applies to the strict part set only")
     a, b = params.alpha, params.beta
     leading = dirichlet(a, 2.0, tol) / b
     terms = []
@@ -112,24 +102,6 @@ def log_z_expansion(
     value = leading + math.fsum(terms)
     return LogZExpansion(
         alpha=a, beta=b, order=m, leading=leading, terms=tuple(terms), value=value
-    )
-
-
-def log_z_nonzero_remark(params: ShapeParams, tol: float = DEFAULT_TOL) -> float:
-    """Informal small-beta expansion of log Z for the nonzero part set.
-
-    (Phi(alpha) + zeta(2))/beta + log(beta)/2 + Psi(alpha)/2 - log(2 pi)/2
-    + (D_alpha(0)/12 - 1/24) beta, truncated after the beta^1 term.
-    Diagnostic only.
-    """
-    _check_params(params)
-    a, b = params.alpha, params.beta
-    return (
-        (phi(a, tol) + ZETA2) / b
-        + 0.5 * math.log(b)
-        + 0.5 * psi(a, tol)
-        - 0.5 * math.log(2.0 * math.pi)
-        + (dirichlet(a, 0.0, tol) / 12.0 - 1.0 / 24.0) * b
     )
 
 

@@ -112,15 +112,6 @@ def theta_roots(t, barred: bool, rel_tol: float = 1e-12):
     raise failure("Newton iteration cap exceeded at target ratio {!r}", 0)
 
 
-def solve_theta(t, barred: bool, rel_tol: float = 1e-12):
-    """Unique alpha > 0 with Theta(alpha) = t (barred variant if asked), or an
-    array of roots for an array of ratios, all solved by :func:`theta_roots`.
-    |Theta(alpha)/t - 1| <= rel_tol up to the series' relative error, ~1e-12.
-    """
-    alpha = theta_roots(t, barred, rel_tol)[0]
-    return alpha.item() if np.ndim(t) == 0 else alpha.reshape(np.shape(t))
-
-
 def calibrate(
     target: Target, part_set: PartSet, rel_tol: float = 1e-12
 ) -> CalibrationResult:
@@ -144,25 +135,3 @@ def calibrate(
         part_set=part_set,
         residuals=(r1, r2),
     )
-
-
-ORDER_CHECK_BAND = (1.0 / 50.0, 50.0)
-
-
-def order_checks(result: CalibrationResult) -> dict:
-    """Scale ratios that should stay bounded along calibrated sequences.
-
-    Reports e^{-alpha}/(beta n1), e^{-alpha}/(beta^2 n2) and beta n2/n1,
-    flagging any ratio outside [1/50, 50].
-    """
-    alpha, beta = result.params.alpha, result.params.beta
-    n1, n2 = result.target.n1, result.target.n2
-    e = math.exp(-alpha)
-    ratios = {
-        "exp_over_beta_n1": e / (beta * n1),
-        "exp_over_beta2_n2": e / (beta**2 * n2),
-        "beta_n2_over_n1": beta * n2 / n1,
-    }
-    lo, hi = ORDER_CHECK_BAND
-    flagged = [name for name, v in ratios.items() if not (lo <= v <= hi)]
-    return {"ratios": ratios, "flagged": flagged}

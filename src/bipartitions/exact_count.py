@@ -52,11 +52,6 @@ class Target:
 DEFAULT_CELL_BUDGET = 1 << 26
 
 
-def _cell_budget() -> int:
-    env = os.environ.get("BIPART_CELL_BUDGET")
-    return int(env) if env else DEFAULT_CELL_BUDGET
-
-
 class CellBudgetError(Exception):
     """Raised when a requested table would exceed the cell budget."""
 
@@ -104,9 +99,7 @@ def parts_in_box(part_set: PartSet, n1: int, n2: int) -> list[tuple[int, int]]:
     return parts
 
 
-def count_table(
-    part_set: PartSet, n1: int, n2: int, cell_budget: int | None = None
-) -> CountTable:
+def count_table(part_set: PartSet, n1: int, n2: int) -> CountTable:
     """Exact count table by the Euler-transform row recurrence.
 
     q1 d/dq1 of log F = sum_{x in X} sum_r q^{rx} / r, with F = sum_a P_a q1^a,
@@ -121,7 +114,7 @@ def count_table(
     """
     if n1 < 0 or n2 < 0:
         raise ValueError("table bounds must be non-negative")
-    budget = cell_budget if cell_budget is not None else _cell_budget()
+    budget = int(os.environ.get("BIPART_CELL_BUDGET") or DEFAULT_CELL_BUDGET)
     cells = (n1 + 1) * (n2 + 1)
     if cells > budget:
         raise CellBudgetError(

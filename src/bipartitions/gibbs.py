@@ -236,6 +236,20 @@ def _check_cells(cells: int, a: float, b: float) -> None:
         raise ValueError(f"{msg}, above the cap of {MAX_LATTICE_CELLS}")
 
 
+def _reach(rate: float) -> int:
+    """First x with ((x + 1) / x)^3 e^{-rate} < 1, where a ratio bound starts."""
+    return math.floor(1.0 / math.expm1(min(rate, 2000.0) / 3.0)) + 1
+
+
+def _lattice_rates(params: ShapeParams, tol: float) -> tuple[float, float]:
+    """The rates (a, b) with a >= b, rows running along a, once tol is valid
+    and the cells before the first row and column cuts fit under the cap."""
+    _check_tol(tol)
+    a, b = max(params.alpha, params.beta), min(params.alpha, params.beta)
+    _check_cells(_reach(a) * _reach(b), a, b)
+    return a, b
+
+
 def lyapunov_bound(params: ShapeParams, part_set: PartSet, tol: float = 1e-10) -> float:
     """Upper bound max_t sum_x |t.x|^3 w(x) on the scale-free Lyapunov ratio
     over a grid of directions t with ||Gamma^{1/2} t|| = 1, where
@@ -253,27 +267,23 @@ def lyapunov_bound(params: ShapeParams, part_set: PartSet, tol: float = 1e-10) -
     both part sets are symmetric under (x1, x2) -> (x2, x1), and the grid of
     angles pi k / N_DIRECTIONS maps onto itself under theta -> pi/2 - theta
     because N_DIRECTIONS is even, which it must stay.  A lattice past
-    MAX_LATTICE_CELLS raises ValueError before its first cell.
+    MAX_LATTICE_CELLS raises ValueError before its first cell and before the
+    log-Z pass that gives Gamma.
     """
-    return _lyapunov_lattice(params, part_set, tol)[0]
+    _lattice_rates(params, tol)
+    gamma = np.array(gibbs_covariance(params, part_set))
+    return _lyapunov_lattice(params, part_set, gamma, tol)[0]
 
 
-def _lyapunov_lattice(params: ShapeParams, part_set: PartSet, tol: float = 1e-10):
+def _lyapunov_lattice(params: ShapeParams, part_set: PartSet, gamma, tol: float = 1e-10):
     """lyapunov_bound as (value, cells, tail_bound), the shape _series returns:
-    the cells summed and the bound on the dropped cells that value includes."""
-    _check_tol(tol)
+    the cells summed and the bound on the dropped cells that value includes.
+    gamma is the covariance of N at params."""
+    a, b = _lattice_rates(params, tol)
     if params.alpha < params.beta:
-        params = ShapeParams(params.beta, params.alpha)
-    a, b = params.alpha, params.beta
-
-    def reach(rate: float) -> int:
-        # first x with ((x + 1) / x)^3 e^{-rate} < 1, where a ratio bound starts
-        return math.floor(1.0 / math.expm1(min(rate, 2000.0) / 3.0)) + 1
-
-    # no row cut comes before row reach(a), no column cut before reach(b)
-    _check_cells(reach(a) * reach(b), a, b)
+        gamma = gamma[::-1, ::-1]  # the covariance at (beta, alpha)
     angles = np.pi * np.arange(N_DIRECTIONS) / N_DIRECTIONS
-    whiten = _inv_sqrt(np.array(gibbs_covariance(params, part_set)))
+    whiten = _inv_sqrt(gamma)
     t1, t2 = whiten @ np.stack([np.cos(angles), np.sin(angles)])
     # |t.x| = |c1 x1 + d x2| with d >= 0, and |t.x| <= u x1 + v x2 for every t
     c1, d = np.where(t2 < 0, -t1, t1), np.abs(t2)
@@ -282,7 +292,7 @@ def _lyapunov_lattice(params: ShapeParams, part_set: PartSet, tol: float = 1e-10
     p = np.arange(4.0)[:, None]
     binomial = np.array([[1.0], [3.0], [3.0], [1.0]])
     nonzero = part_set is PartSet.NONZERO_VECTORS
-    sums, tail, cells, n = np.zeros(N_DIRECTIONS), 0.0, 0, reach(b)
+    sums, tail, cells, n = np.zeros(N_DIRECTIONS), 0.0, 0, _reach(b)
     for x1 in itertools.count(0 if nonzero else 1):
         lo = 0 if nonzero and x1 else 1
         while True:
@@ -372,7 +382,8 @@ def llt_check(
 
     P(N = n) comes from the exact count and log Z; the Gaussian prediction
     includes the mean-offset factor exp(-||Gamma^{-1/2}(n - E N)||^2 / 2).
-    Gamma, log Z and E N come from one log-Z pass.
+    Gamma, log Z and E N come from one log-Z pass, which the Lyapunov bound
+    shares.
     """
     if table is None:
         table = count_table(part_set, target.n1, target.n2)
@@ -391,7 +402,7 @@ def llt_check(
     det_gamma = float(np.linalg.det(gamma))
     eigvals = np.linalg.eigvalsh(gamma)
     sigma_sq = float(eigvals[0])
-    lyap, cells, tail_bound = _lyapunov_lattice(params, part_set)
+    lyap, cells, tail_bound = _lyapunov_lattice(params, part_set, gamma)
     ellipse_radius = 1.0 / (4.0 * lyap)
 
     log_p_n = (

@@ -132,17 +132,6 @@ def psi(alpha: float, tol: float = DEFAULT_TOL) -> float:
     return dirichlet(alpha, 1.0, tol)
 
 
-def phi_derivatives(alpha: float, order: int, tol: float = DEFAULT_TOL) -> float:
-    """First or second derivative of Phi, from the differentiated series.
-
-    Phi'(alpha)  = -sum_r r^{-1} e^{-alpha r} / (1 - e^{-alpha r})^2
-    Phi''(alpha) =  sum_r e^{-alpha r} (1 + e^{-alpha r}) / (1 - e^{-alpha r})^3
-    """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order!r}")
-    return _phi_and_derivatives(alpha, tol)[order]
-
-
 def sigma2(m: int) -> int:
     """Sum of squared divisors of m."""
     if m < 1:
@@ -201,11 +190,6 @@ def zeta_neg(k: int) -> Fraction:
         raise ValueError(f"zeta_neg requires k >= 0, got {k!r}")
     value = bernoulli(k + 1) / (k + 1)
     return -value if k % 2 else value
-
-
-def phi_bar(alpha: float, tol: float = DEFAULT_TOL) -> float:
-    """Phi-bar(alpha) = Phi(alpha) + pi^2/6."""
-    return phi(alpha, tol) + ZETA2
 
 
 def theta(alpha: float, barred: bool = False, tol: float = DEFAULT_TOL) -> float:

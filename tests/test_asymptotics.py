@@ -13,7 +13,6 @@ from bipartitions.asymptotics import (
     gibbs_mean,
     log_z_direct,
     log_z_expansion,
-    log_z_nonzero_remark,
     rate_function,
     rate_table,
     theorem_estimate,
@@ -21,7 +20,7 @@ from bipartitions.asymptotics import (
 from bipartitions.calibration import ShapeParams
 from bipartitions.exact_count import PartSet, Target, count_table
 from bipartitions.formal_series import corollary2_coeffs
-from bipartitions.special_functions import dirichlet, psi
+from bipartitions.special_functions import ZETA2, dirichlet, phi, psi
 
 
 def brute_force_log_z(a: float, b: float, part_set: PartSet) -> float:
@@ -105,7 +104,14 @@ class TestExpansion:
     def test_nonzero_remark(self, beta):
         params = ShapeParams(1.0, beta)
         direct = log_z_direct(params, PartSet.NONZERO_VECTORS)
-        approx = log_z_nonzero_remark(params)
+        # the paper's small-beta expansion, truncated after the beta^1 term
+        approx = (
+            (phi(1.0) + ZETA2) / beta
+            + 0.5 * math.log(beta)
+            + 0.5 * psi(1.0)
+            - 0.5 * math.log(2.0 * math.pi)
+            + (dirichlet(1.0, 0.0) / 12.0 - 1.0 / 24.0) * beta
+        )
         assert abs(direct - approx) < 2.0 * beta**2
 
 
@@ -186,7 +192,7 @@ class TestRates:
     @pytest.mark.parametrize("K", [0, 1, 2])
     def test_exact_coefficients_match(self, K):
         # h(t) = t (2 - log t^2 + sum_{k<=K} c_k t^{2k}) + O(t^{2K+3}); K >= 3
-        # reaches the ~4e-13 floor that solve_theta's tolerance sets
+        # reaches the ~4e-13 floor that theta_roots' tolerance sets
         c = corollary2_coeffs(8).coefficients
 
         def residual(t):

@@ -192,9 +192,10 @@ class TestPartsInBox:
 
 
 class TestBudgetAndValidation:
-    def test_budget_exceeded(self):
-        with pytest.raises(CellBudgetError):
-            count_table(PartSet.STRICT_POSITIVE, 10, 10, cell_budget=50)
+    def test_budget_exceeded(self, monkeypatch):
+        monkeypatch.setenv("BIPART_CELL_BUDGET", "50")
+        with pytest.raises(CellBudgetError, match="121 cells exceeds the cell budget 50"):
+            count_table(PartSet.STRICT_POSITIVE, 10, 10)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("BIPART_CELL_BUDGET", "10")

@@ -206,7 +206,8 @@ def brute_lyapunov(params: ShapeParams, part_set: PartSet, span: float = 45.0) -
 
 
 def assert_brackets_brute_force(params: ShapeParams, part_set: PartSet, tol: float = 1e-10):
-    value, cells, tail_bound = _lyapunov_lattice(params, part_set, tol)
+    gamma = np.array(gibbs_covariance(params, part_set))
+    value, cells, tail_bound = _lyapunov_lattice(params, part_set, gamma, tol)
     brute = brute_lyapunov(params, part_set)
     assert brute <= value <= brute * (1.0 + 2.0 * tol)
     assert 0.0 <= tail_bound <= tol * value and cells > 0
@@ -299,8 +300,8 @@ class TestLLT:
         assert 0.1 < report.normalized_ratio < 10.0
 
     def test_one_log_z_pass(self, monkeypatch):
-        # Gamma, log Z and E N come from one pass; the Lyapunov lattice makes
-        # the only other one, for Gamma at its own (possibly swapped) rates
+        # Gamma, log Z and E N come from one pass, and the Lyapunov lattice
+        # takes its Gamma from the same pass
         passes = []
 
         def counted(params, part_set, tol):
@@ -310,10 +311,13 @@ class TestLLT:
         original = asymptotics._log_z_sums
         monkeypatch.setattr(asymptotics, "_log_z_sums", counted)
         monkeypatch.setattr(gibbs, "_log_z_sums", counted)
-        report = llt_check(Target(8, 64), NONZERO)
-        assert len(passes) == 2
-        assert report.gamma == gibbs_covariance(report.params, NONZERO)
-        assert report.extras["log_z"] == log_z_direct(report.params, NONZERO)
+        for part_set in PartSet:
+            passes.clear()
+            report = llt_check(Target(8, 64), part_set)
+            assert len(passes) == 1
+            assert report.gamma == gibbs_covariance(report.params, part_set)
+            assert report.extras["log_z"] == log_z_direct(report.params, part_set)
+            assert report.lyapunov_bound == lyapunov_bound(report.params, part_set)
 
     def test_reuses_table(self):
         target = Target(6, 36)

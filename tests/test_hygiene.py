@@ -1,12 +1,21 @@
 """Source hygiene: every name a module or test file imports is used, every
 private module-level name and every non-dunder method of the package is read
-somewhere in it, and no line is longer than MAX_LINE characters."""
+somewhere in it, every public module-level name is read in the package or the
+bench (or is on TEST_ONLY_API), and no line is longer than MAX_LINE characters."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MAX_LINE = 99
+
+# public names that only the tests read, and why each stays public
+TEST_ONLY_API = {
+    "phi_lambert": "independent Lambert-series oracle for phi",
+    "log_z_direct": "read by tests/test_acceptance.py",
+    "log_z_expansion": "read by tests/test_acceptance.py",
+    "rate_function": "read by tests/test_acceptance.py",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,8 +47,8 @@ def test_detector():
     assert unused_imports(source) == ["Union", "j", "tau"]
 
 
-def private_definitions(source: str) -> set[str]:
-    """Module-level names with one leading underscore that the source defines."""
+def module_definitions(source: str) -> set[str]:
+    """Names that the source defines at module level."""
     names = set()
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -48,7 +57,17 @@ def private_definitions(source: str) -> set[str]:
             names.update(t.id for t in node.targets if isinstance(t, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.add(node.target.id)
-    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+    return names
+
+
+def private_definitions(source: str) -> set[str]:
+    """Module-level names with one leading underscore that the source defines."""
+    return {n for n in module_definitions(source) if n.startswith("_") and not n.startswith("__")}
+
+
+def public_definitions(source: str) -> set[str]:
+    """Module-level names without a leading underscore that the source defines."""
+    return {n for n in module_definitions(source) if not n.startswith("_")}
 
 
 def read_names(source: str) -> set[str]:
@@ -72,6 +91,15 @@ def test_private_detector():
     assert private_definitions(source) == {"_kept", "_dead", "_f", "_C"}
     assert private_definitions(source) - read_names(source) == {"_dead", "_f", "_C"}
     assert {"_imported", "_attr"} <= read_names(source)
+
+
+def test_public_detector():
+    source = (
+        "from m import imported\nkept = 1\ndead: int = 2\n__dunder__ = 3\n"
+        "_private = kept\ndef f():\n    return m.attr\nclass C:\n    inner = 4\n"
+    )
+    assert public_definitions(source) == {"kept", "dead", "f", "C"}
+    assert public_definitions(source) - read_names(source) == {"dead", "f", "C"}
 
 
 def source_files() -> list[Path]:
@@ -105,6 +133,17 @@ def test_no_dead_private_names():
     defined = set().union(*map(private_definitions, sources))
     read = set().union(*map(read_names, sources))
     assert sorted(defined - read) == []
+
+
+def test_no_test_only_public_names():
+    sources = [path.read_text() for path in ROOT.glob("src/bipartitions/*.py")]
+    readers = sources + [path.read_text() for path in ROOT.glob("bench/*.py")]
+    assert sources and len(readers) > len(sources)
+    defined = set().union(*map(public_definitions, sources))
+    unread = defined - set().union(*map(read_names, readers))
+    assert sorted(unread - set(TEST_ONLY_API)) == []
+    # an entry that the package or the bench reads, or that is gone, leaves the list
+    assert sorted(set(TEST_ONLY_API) - unread) == []
 
 
 def method_definitions(source: str) -> set[str]:

@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipartitions.special_functions import (
-    ZETA2,
+    _phi_and_derivatives,
     bernoulli,
     delta,
     dirichlet,
     phi,
-    phi_bar,
-    phi_derivatives,
     phi_lambert,
     psi,
     sigma2,
@@ -39,9 +37,6 @@ class TestPhi:
     def test_lambert_cross_check(self, alpha):
         assert phi(alpha) == pytest.approx(phi_lambert(alpha), abs=1e-10)
 
-    def test_phi_bar(self):
-        assert phi_bar(2.0) == pytest.approx(phi(2.0) + ZETA2, rel=1e-14)
-
     @given(st.floats(min_value=0.1, max_value=5.0), st.floats(min_value=0.1, max_value=5.0))
     @settings(max_examples=25, deadline=None)
     def test_monotone_decreasing(self, a1, a2):
@@ -52,24 +47,20 @@ class TestPhi:
 
 class TestDerivatives:
     def test_frozen_values(self):
-        assert phi_derivatives(1.0, 1) == pytest.approx(-1.0362871355745795, rel=1e-11)
-        assert phi_derivatives(1.0, 2) == pytest.approx(2.3214805734350406, rel=1e-11)
+        assert _phi_and_derivatives(1.0)[1] == pytest.approx(-1.0362871355745795, rel=1e-11)
+        assert _phi_and_derivatives(1.0)[2] == pytest.approx(2.3214805734350406, rel=1e-11)
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5])
     def test_first_matches_difference_quotient(self, alpha):
         h = 1e-5
         fd = (phi(alpha + h) - phi(alpha - h)) / (2 * h)
-        assert phi_derivatives(alpha, 1) == pytest.approx(fd, rel=1e-7)
+        assert _phi_and_derivatives(alpha)[1] == pytest.approx(fd, rel=1e-7)
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5])
     def test_second_matches_difference_quotient(self, alpha):
         h = 1e-5
-        fd = (phi_derivatives(alpha + h, 1) - phi_derivatives(alpha - h, 1)) / (2 * h)
-        assert phi_derivatives(alpha, 2) == pytest.approx(fd, rel=1e-7)
-
-    def test_invalid_order(self):
-        with pytest.raises(ValueError):
-            phi_derivatives(1.0, 3)
+        fd = (_phi_and_derivatives(alpha + h)[1] - _phi_and_derivatives(alpha - h)[1]) / (2 * h)
+        assert _phi_and_derivatives(alpha)[2] == pytest.approx(fd, rel=1e-7)
 
 
 class TestDirichlet:
