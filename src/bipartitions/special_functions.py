@@ -6,8 +6,11 @@ Every infinite r-series of the package is summed by one numpy-blocked kernel,
 :func:`_series`, whose tail bound is below the absolute tolerance; as every
 geometric factor comes from expm1, results are within tol plus rounding of a
 few eps * |value|, also at small alpha, and relative to the first term for
-the Dirichlet-type sums beyond alpha = log 2.  Derivatives always come from
-the differentiated series, never from finite differences.
+the Dirichlet-type sums beyond alpha = log 2.  Below alpha = 1/2, where the
+series would need ~35/alpha terms, Phi = D_alpha(2) and Psi = D_alpha(1)
+come from closed forms with stated remainder bounds instead.  Derivatives
+always come from the differentiated series or closed form, never from finite
+differences.
 """
 
 from __future__ import annotations
@@ -31,6 +34,30 @@ _MAX_BLOCK = 4096
 _MAX_BLOCK_CELLS = 2**18
 _MAX_TERMS = 100_000_000
 _TINY = np.finfo(float).tiny
+
+# Below _CLOSED_FORM_ALPHA, D_alpha(2) and D_alpha(1) and their first two
+# derivatives come from closed forms, not from the r-sum.  G0 has Mellin
+# transform Gamma(w) zeta(w), so D_alpha(2) is the inverse transform of
+# Gamma(w) zeta(w) zeta(w + 2) alpha^-w; its residues at w = 1, 0, -1 (a
+# double pole) and at the odd w = -3 .. -15 give
+#   zeta(3)/alpha - zeta(2)/2 + alpha ((1 - log alpha)/12 - zeta'(-1))
+#   - sum_{odd j=3..15} zeta(-j) zeta(2-j) alpha^j / j!
+# (Flajolet, Gourdon and Dumas, TCS 1995).  The rest is the integral on
+# Re w = -16; the functional equation, applied to both zetas, bounds its k-th
+# derivative by _MELLIN_BOUND[k] alpha^(16-k), the constants being
+# (2 pi)^-32 zeta(17) zeta(15) int |Gamma(15 + iy) (-16 + iy)_k| dy rounded up.
+# D_alpha(1) = -log prod_n (1 - e^{-alpha n}) is exact by the Dedekind eta
+# transformation (Apostol, Modular Functions and Dirichlet Series, ch. 3):
+#   zeta(2)/alpha + log(alpha/(2 pi))/2 - alpha/24 + D_{4 pi^2/alpha}(1),
+# and for alpha <= 1/2 the k-th alpha-derivative of the dual sum is below
+# 2 exp(-4 pi^2/alpha) ((4 pi^2 + 2 alpha)/alpha^2)^k.
+_CLOSED_FORM_ALPHA = 0.5
+_MELLIN_ORDER = 16
+_MELLIN_BOUND = (2.44e-14, 4.01e-13, 6.22e-12)
+_ZETA3 = 1.2020569031595942
+_DZETA_M1 = -0.16542114370045094  # zeta'(-1)
+_HALF_LOG_2PI = 0.9189385332046728
+_FOUR_PI2 = 4.0 * math.pi**2
 
 
 def _check_alpha(alpha) -> None:
@@ -87,18 +114,55 @@ def _series(block, decay: float, growth: float, tol: float):
     raise ValueError("series failed to converge within the term cap")
 
 
-def _dirichlet_series(alpha, s: float, order: int, tol: float):
-    """The kernel's (value, terms, tail_bound) for value[k] = D^(k)(alpha)
-    = (-1)^k sum_r r^{k-s} G_k(alpha r), k = 0..order, in one pass.
+@lru_cache(maxsize=None)
+def _mellin_polys() -> tuple[np.ndarray, ...]:
+    """Coefficients in alpha, highest power first as np.polyval takes them, of
+    -sum_{odd j=3..15} zeta(-j) zeta(2-j) alpha^j/j! and of its first two
+    derivatives, from the exact zeta_neg."""
+    c = np.zeros(_MELLIN_ORDER)
+    for j in range(3, _MELLIN_ORDER, 2):
+        c[-1 - j] = -zeta_neg(j) * zeta_neg(j - 2) / math.factorial(j)
+    return c, np.polyder(c), np.polyder(c, 2)
 
-    alpha is a float or a 1-D array (value[k] then lists one sum per alpha;
-    min(alpha) bounds every ratio).  Each alpha's rows are summed in units of
-    u = min(1, G0(alpha)) > 0, in which tail_bound is stated: error < tol * u.
-    """
-    _check_alpha(alpha)
-    _check_tol(tol)
-    a = np.asarray(alpha, dtype=float)
-    unit = np.maximum(np.minimum(np.exp(-a) / -np.expm1(-a), 1.0), _TINY)  # G0, no overflow
+
+def _closed_form(a: np.ndarray, s: float) -> np.ndarray:
+    """Rows [D, D', D''] of D_a(s), s in {1, 2}, by the closed forms above,
+    without the remainder that _closed_form_bound bounds."""
+    log_a = np.log(a)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if s == 1.0:
+            return np.stack([
+                ZETA2 / a + 0.5 * log_a - _HALF_LOG_2PI - a / 24.0,
+                -ZETA2 / a / a + 0.5 / a - 1.0 / 24.0,
+                2.0 * ZETA2 / a / a / a - 0.5 / a / a,
+            ])
+        c, dc, ddc = _mellin_polys()
+        return np.stack([
+            _ZETA3 / a - 0.5 * ZETA2 + a * ((1.0 - log_a) / 12.0 - _DZETA_M1) + np.polyval(c, a),
+            -_ZETA3 / a / a - log_a / 12.0 - _DZETA_M1 + np.polyval(dc, a),
+            2.0 * _ZETA3 / a / a / a - 1.0 / (12.0 * a) + np.polyval(ddc, a),
+        ])
+
+
+def _closed_form_bound(a: np.ndarray, s: float, order: int) -> np.ndarray:
+    """The closed form's stated remainder bound for s in {1, 2}, the largest
+    over the derivatives k <= order <= 2, at each alpha of a; inf from
+    _CLOSED_FORM_ALPHA on."""
+    k = np.arange(order + 1.0)[:, None]
+    if s == 2.0:
+        bound = np.array(_MELLIN_BOUND[: order + 1])[:, None] * a ** (_MELLIN_ORDER - k)
+    else:
+        with np.errstate(over="ignore"):
+            log_step = np.log(_FOUR_PI2 + 2.0 * a) - 2.0 * np.log(a)
+            bound = 2.0 * np.exp(k * log_step - _FOUR_PI2 / a)
+    return np.where(a < _CLOSED_FORM_ALPHA, bound.max(axis=0), np.inf)
+
+
+def _direct_sums(a: np.ndarray, unit: np.ndarray, s: float, order: int, tol: float):
+    """(value, terms, tail_bound) of the r-sums for D^(k)(alpha), k = 0..order,
+    at the alphas of the 1-D array a, value being an (order + 1, a.size)
+    array; each alpha's rows are summed in units of its unit, and min(a)
+    bounds every ratio."""
     a_col, unit_col = a.reshape(-1, 1), unit.reshape(-1, 1)
     k = np.arange(order + 1.0)[:, None]
 
@@ -109,7 +173,51 @@ def _dirichlet_series(alpha, s: float, order: int, tol: float):
         return g
 
     value, terms, tail = _series(block, a.min(), max(0.0, order - s), tol)
-    return (np.reshape(value, (order + 1,) + a.shape) * unit).tolist(), terms, tail
+    return np.reshape(value, (order + 1, a.size)) * unit, terms, tail
+
+
+def _dirichlet_series(alpha, s: float, order: int, tol: float):
+    """The kernel's (value, terms, tail_bound) for value[k] = D^(k)(alpha)
+    = (-1)^k sum_r r^{k-s} G_k(alpha r), k = 0..order, in one pass.
+
+    alpha is a float or a 1-D array (value[k] then lists one sum per alpha).
+    Each alpha's rows are summed in units of u = min(1, G0(alpha)) > 0, in
+    which tail_bound is stated: error < tol * u.  For s in {1, 2} and
+    order <= 2, an alpha below _CLOSED_FORM_ALPHA whose closed-form bound is
+    at most tol * u (u = 1 there) takes the closed form and leaves the r-sum,
+    whose length only the other alphas set; terms and tail_bound are then the
+    larger of the residue count and the r-sum's terms, and of the two bounds.
+    A closed form that overflows raises ValueError naming its alpha.
+    """
+    _check_alpha(alpha)
+    _check_tol(tol)
+    a = np.asarray(alpha, dtype=float)
+    flat = a.reshape(-1)
+    unit = np.maximum(np.minimum(np.exp(-flat) / -np.expm1(-flat), 1.0), _TINY)  # G0, no overflow
+    closed = None
+    if s in (1.0, 2.0) and order <= 2 and flat.min() < _CLOSED_FORM_ALPHA:
+        bound = _closed_form_bound(flat, s, order)
+        closed = bound <= tol * unit
+    if closed is None or not closed.any():
+        value, terms, tail = _direct_sums(flat, unit, s, order, tol)
+    else:
+        closed_value = _closed_form(flat[closed], s)[: order + 1]
+        finite = np.isfinite(closed_value).all(axis=0)
+        if not finite.all():
+            bad = flat[closed][~finite][0].item()
+            raise ValueError(f"D_alpha({s!r}) or a derivative overflows at alpha = {bad!r}")
+        value = np.empty((order + 1, flat.size))
+        value[:, closed] = closed_value
+        # residues at w = 1, 0, -1, and for s = 2 the odd w = -3 .. -15
+        terms = 3 if s == 1.0 else 3 + (_MELLIN_ORDER - 2) // 2
+        tail = float(bound[closed].max())
+        if not closed.all():
+            direct = ~closed
+            value[:, direct], direct_terms, direct_tail = _direct_sums(
+                flat[direct], unit[direct], s, order, tol
+            )
+            terms, tail = max(terms, direct_terms), max(tail, direct_tail)
+    return value.reshape((order + 1,) + a.shape).tolist(), terms, tail
 
 
 def _phi_and_derivatives(alpha, tol: float = DEFAULT_TOL):
@@ -197,7 +305,7 @@ def theta(alpha: float, barred: bool = False, tol: float = DEFAULT_TOL) -> float
 
     The barred variant keeps the same numerator since Phi-bar' = Phi'.
     Past alpha ~ 709.78 Phi underflows to 0.0, and the strict variant raises
-    ValueError.
+    ValueError; below alpha ~ 2e-103 Phi'' overflows, and both raise it.
     """
     p, dp, _ = _phi_and_derivatives(alpha, tol)
     denom = math.sqrt(p + ZETA2) if barred else math.sqrt(p)

@@ -19,7 +19,7 @@ from bipartitions.asymptotics import (
 )
 from bipartitions.calibration import ShapeParams
 from bipartitions.exact_count import PartSet, Target, count_table
-from bipartitions.formal_series import corollary2_coeffs
+from bipartitions.formal_series import corollary2_coeffs, corollary3_coeffs
 from bipartitions.special_functions import ZETA2, dirichlet, phi, psi
 
 
@@ -203,6 +203,23 @@ class TestRates:
 
         slope = math.log2(abs(residual(0.05) / residual(0.025)))
         assert slope == pytest.approx(2 * K + 3, abs=0.1)
+
+    @pytest.mark.parametrize("K", [0, 1, 2, 3])
+    @pytest.mark.parametrize("t", [0.01, 0.005])
+    def test_barred_coefficients_match(self, K, t):
+        # h_bar(t) = 2a + t (1 - log a - log t + sum_{k<=K} cbar_k t^k)
+        # + cbar_{K+1} t^{K+2} (1 + O(t)), with a = sqrt(zeta(2)); the O(t)
+        # reads 1.8 t (K = 0) to 5.3 t (K = 3)
+        a = math.sqrt(ZETA2)
+        cbar = [
+            sum(float(c) * a**e for e, c in coeff.coeffs.items())
+            for coeff in corollary3_coeffs(K + 2).coefficients
+        ]
+        series = sum(cbar[k - 1] * t**k for k in range(1, K + 1))
+        residual = rate_function(t, PartSet.NONZERO_VECTORS) - (
+            2.0 * a + t * (1.0 - math.log(a) - math.log(t) + series)
+        )
+        assert abs(residual / (cbar[K] * t ** (K + 2)) - 1.0) <= 6.0 * t
 
     @pytest.mark.parametrize("t", [1e-3, 0.5, 1.0, 7.0])
     def test_one_point_table_is_rate_function(self, t):

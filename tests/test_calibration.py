@@ -151,6 +151,21 @@ class TestSolveTheta:
         for t, barred, alpha in roots:
             assert theta(alpha, barred) == pytest.approx(t, rel=1e-10)
 
+    def test_stacked_passes_stay_short(self, monkeypatch):
+        # small alphas leave the r-sum for the closed forms, so no stacked
+        # direct pass sums to the length a small alpha would need
+        terms = []
+        direct = special_functions._series
+
+        def recorded(*args, **kwargs):
+            result = direct(*args, **kwargs)
+            terms.append(result[1])
+            return result
+
+        monkeypatch.setattr(special_functions, "_series", recorded)
+        rate_table(np.geomspace(0.01, 1e5, 100).tolist())
+        assert terms and max(terms) <= 128
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_domain(self, bad):
         with pytest.raises(ValueError):

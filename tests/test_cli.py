@@ -2,11 +2,12 @@
 
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
 
-from bipartitions import cli, gibbs, special_functions
+from bipartitions import cli, gibbs
 from bipartitions.asymptotics import theorem_estimate
 from bipartitions.cli import main
 from bipartitions.exact_count import PartSet, Target, count_table
@@ -108,6 +109,15 @@ class TestRates:
         lines = out.strip().splitlines()
         assert code == 0 and len(lines) == 4
         assert [float(row.split(",")[0]) for row in lines[1:]] == [1.0, 1.5, 2.0]
+
+    def test_large_ratios_in_closed_form(self, capsys):
+        # roots down to alpha ~ 1e-8, each row independent of its grid
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "rates", "--t-min", "1e6", "--t-max", "1e12", "--steps", "3")
+        assert code == 0 and time.perf_counter() - start < 2.0
+        code, low, _ = run(capsys, "rates", "--t-min", "1e5", "--t-max", "1e6", "--steps", "3")
+        assert code == 0
+        assert out.splitlines()[1] == low.splitlines()[-1]
 
     def test_invalid_steps(self, capsys):
         code, _, err = run(capsys, "rates", "--steps", "0")
@@ -230,14 +240,13 @@ class TestSample:
         assert code == 1 and out == ""
         assert err.startswith("error: tv_budget")
 
-    def test_series_term_cap_is_reported(self, capsys, monkeypatch):
-        # alpha ~ 1e-12 needs far more terms than the cap; a small cap fails fast
-        monkeypatch.setattr(special_functions, "_MAX_TERMS", 10_000)
+    def test_tiny_alpha_is_calibrated(self, capsys):
+        # alpha ~ 1e-8, where Phi and its derivatives come in closed form
         code, out, err = run(
             capsys, "sample", "--n1", "1000000000000", "--n2", "1", "--parts", "strict"
         )
-        assert code == 1 and out == ""
-        assert err.startswith("error: series failed to converge")
+        assert code == 0 and err == ""
+        assert max(json.loads(out)["residuals"]) <= 1e-9
 
 
 class TestLLT:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bipartitions import special_functions
 from bipartitions.special_functions import (
     _phi_and_derivatives,
     bernoulli,
@@ -94,6 +95,19 @@ class TestValidation:
     def test_tolerance_domain(self, bad):
         with pytest.raises(ValueError):
             phi(1.0, tol=bad)
+
+    def test_series_term_cap_is_reported(self, monkeypatch):
+        # s = 3 is summed directly, and alpha = 1e-6 needs far more terms
+        # than a small cap; the cap fails fast
+        monkeypatch.setattr(special_functions, "_MAX_TERMS", 10_000)
+        with pytest.raises(ValueError, match="^series failed to converge"):
+            dirichlet(1e-6, 3.0)
+
+    def test_overflow_is_an_error(self):
+        # Phi'' = 2 zeta(3)/alpha^3 overflows below alpha ~ 2e-103
+        for evaluate in (_phi_and_derivatives, theta, delta):
+            with pytest.raises(ValueError, match="1e-200"):
+                evaluate(1e-200)
 
 
 class TestSigma2:
