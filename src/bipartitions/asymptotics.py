@@ -31,7 +31,7 @@ from .special_functions import (
 MAX_EXPANSION_ORDER = 8
 
 
-def _log_z_sums(params: ShapeParams, part_set: PartSet, tol: float) -> tuple:
+def _log_z_sums(params: ShapeParams, part_set: PartSet) -> tuple:
     """(log Z, E N1, E N2, Var N1, Cov, Var N2), one r-pass per part family:
     log Z = sum_r G0(a r) G0(b r)/r (+ Psi(a) + Psi(b) for the axis families),
     and each derivative in a or b turns G_k into -r G_{k+1}."""
@@ -42,24 +42,22 @@ def _log_z_sums(params: ShapeParams, part_set: PartSet, tol: float) -> tuple:
         b0, b1, b2 = _geometric(b * r)
         return np.stack([a0 * b0 / r, a1 * b0, a0 * b1, r * a2 * b0, r * a1 * b1, r * a0 * b2])
 
-    sums = _series(block, a + b, 1.0, tol)[0]
+    sums = _series(block, a + b, 1.0, DEFAULT_TOL)[0]
     if part_set is PartSet.NONZERO_VECTORS:
-        pa, dpa, ddpa = _dirichlet_series(a, 1.0, 2, tol)[0]
-        pb, dpb, ddpb = _dirichlet_series(b, 1.0, 2, tol)[0]
+        pa, dpa, ddpa = _dirichlet_series(a, 1.0, 2, DEFAULT_TOL)[0]
+        pb, dpb, ddpb = _dirichlet_series(b, 1.0, 2, DEFAULT_TOL)[0]
         axes = (pa + pb, -dpa, -dpb, ddpa, 0.0, ddpb)
         sums = [s + x for s, x in zip(sums, axes)]
     return tuple(sums)
 
 
-def log_z_direct(
-    params: ShapeParams, part_set: PartSet, tol: float = DEFAULT_TOL
-) -> float:
+def log_z_direct(params: ShapeParams, part_set: PartSet) -> float:
     """log Z as the collapsed single r-sum over both geometric factors.
 
     For the nonzero part set, the two axis families contribute Psi(alpha)
     and Psi(beta) on top of the interior sum.
     """
-    return _log_z_sums(params, part_set, tol)[0]
+    return _log_z_sums(params, part_set)[0]
 
 
 @dataclass(frozen=True)
@@ -78,16 +76,14 @@ class LogZExpansion:
     value: float
 
 
-def log_z_expansion(
-    params: ShapeParams, part_set: PartSet, m: int, tol: float = DEFAULT_TOL
-) -> LogZExpansion:
+def log_z_expansion(params: ShapeParams, part_set: PartSet, m: int) -> LogZExpansion:
     """Residue expansion of log Z to order m in beta (strict part set only)."""
     if not (0 <= m <= MAX_EXPANSION_ORDER):
         raise ValueError(f"expansion order must lie in [0, {MAX_EXPANSION_ORDER}]")
     if part_set is not PartSet.STRICT_POSITIVE:
         raise ValueError("the residue expansion applies to the strict part set only")
     a, b = params.alpha, params.beta
-    leading = dirichlet(a, 2.0, tol) / b
+    leading = dirichlet(a, 2.0) / b
     terms = []
     factorial = 1
     for k in range(m + 1):
@@ -98,25 +94,23 @@ def log_z_expansion(
             terms.append(0.0)
             continue
         sign = -1.0 if k % 2 else 1.0
-        terms.append(sign * float(zk) * dirichlet(a, 1.0 - k, tol) * b**k / factorial)
+        terms.append(sign * float(zk) * dirichlet(a, 1.0 - k) * b**k / factorial)
     value = leading + math.fsum(terms)
     return LogZExpansion(
         alpha=a, beta=b, order=m, leading=leading, terms=tuple(terms), value=value
     )
 
 
-def gibbs_mean(
-    params: ShapeParams, part_set: PartSet, tol: float = DEFAULT_TOL
-) -> tuple[float, float]:
+def gibbs_mean(params: ShapeParams, part_set: PartSet) -> tuple[float, float]:
     """Mean of N under the Gibbs measure: minus the gradient of log Z."""
-    return _log_z_sums(params, part_set, tol)[1:3]
+    return _log_z_sums(params, part_set)[1:3]
 
 
 def gibbs_covariance(
-    params: ShapeParams, part_set: PartSet, tol: float = DEFAULT_TOL
+    params: ShapeParams, part_set: PartSet
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Covariance of N: the Hessian of log Z, from second derivative series."""
-    caa, cab, cbb = _log_z_sums(params, part_set, tol)[3:]
+    caa, cab, cbb = _log_z_sums(params, part_set)[3:]
     return ((caa, cab), (cab, cbb))
 
 

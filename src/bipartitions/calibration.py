@@ -18,6 +18,7 @@ from .exact_count import PartSet, Target
 from .special_functions import ZETA2, _phi_and_derivatives
 
 MAX_ITER = 200
+REL_TOL = 1e-12  # |Theta(alpha) - t| <= REL_TOL * t at an accepted root
 MAX_STACK = 1024
 
 
@@ -47,7 +48,7 @@ class CalibrationResult:
     residuals: tuple[float, float]  # relative defects of the two equations
 
 
-def theta_roots(t, barred: bool, rel_tol: float = 1e-12):
+def theta_roots(t, barred: bool):
     """(alpha, P, Phi') at the root of Theta(alpha) = t for each ratio of t,
     P = Phi (+ pi^2/6 if barred) and Phi' from the pass that accepted it.
 
@@ -97,7 +98,7 @@ def theta_roots(t, barred: bool, rel_tol: float = 1e-12):
         hi, f_hi = np.where(above, hi, x), np.where(above, f_hi, fa)
         step = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
         step = np.where(hi == np.inf, 2.0 * x, np.where(lo == 0.0, 0.5 * x, step))
-        converged = np.abs(fa) <= rel_tol * ti
+        converged = np.abs(fa) <= REL_TOL * ti
         done = converged | (step == x)  # or the bracket has shrunk to one float
         if done.any():
             # f_hi is nan or -ti where Phi' underflowed at hi
@@ -112,9 +113,7 @@ def theta_roots(t, barred: bool, rel_tol: float = 1e-12):
     raise failure("Newton iteration cap exceeded at target ratio {!r}", 0)
 
 
-def calibrate(
-    target: Target, part_set: PartSet, rel_tol: float = 1e-12
-) -> CalibrationResult:
+def calibrate(target: Target, part_set: PartSet) -> CalibrationResult:
     """Solve the two implicit shape-parameter equations for the target.
 
     alpha solves Theta(alpha) = n1/sqrt(n2); beta is set from the stabler
@@ -125,7 +124,7 @@ def calibrate(
         raise ValueError(f"calibration requires n1, n2 >= 1, got {target}")
     barred = part_set is PartSet.NONZERO_VECTORS
     t = target.n1 / math.sqrt(target.n2)
-    alpha, p, dp = (v.item() for v in theta_roots(t, barred, rel_tol))
+    alpha, p, dp = (v.item() for v in theta_roots(t, barred))
     beta = math.sqrt(p / target.n2)
     r1 = abs(-dp / beta - target.n1) / target.n1
     r2 = abs(p / beta**2 - target.n2) / target.n2

@@ -1,23 +1,22 @@
-"""Truncated formal power series with exact coefficients.
+"""Truncated formal power series with exact rational coefficients.
 
-A series is a tuple of coefficients, each a Fraction or a LaurentA: a
-Laurent polynomial with rational coefficients in one symbol ``a`` (``a``
-stands for the square root of zeta(2) and is never substituted numerically
-here).  Series arithmetic uses only the coefficients' own ``+ - * ==`` and
-``Fraction(1) / c``, so Fractions and Laurent polynomials mix freely and no
-ring object is needed.
-
-On top of it, this module derives the exact correction coefficients, the
-rational c_k and the Laurent cbar_k, of the two explicit counting expansions
-by Lagrange inversion.  With f(z) = sum_m sigma2(m) z^m/m^2, each expansion
-is read at the root z(w) of z = w phi(z), and [w^k] H(z(w)) = (1/k)
-[z^(k-1)] H' phi^k for k >= 1 (Flajolet & Sedgewick, Analytic
-Combinatorics, 2009, Thm A.2) gives
+A series is a tuple of Fractions truncated at a fixed order.  On top of it,
+this module derives the exact correction coefficients of the two explicit
+counting expansions by Lagrange inversion: the rational c_k, and the cbar_k,
+each a polynomial in a = sqrt(zeta(2)) and 1/a, held as a dict exponent ->
+nonzero Fraction (a is never substituted numerically here).  With
+f(z) = sum_m sigma2(m) z^m/m^2, each expansion is read at the root z(w) of
+z = w phi(z), and [w^k] H(z(w)) = (1/k) [z^(k-1)] H' phi^k for k >= 1
+(Flajolet & Sedgewick, Analytic Combinatorics, 2009, Thm A.2) gives
 
     c_k = [z^k] (z H' - 1) phi^k / k    (phi = f/(z f'^2), H = 2f/(z f')),
     cbar_k = -[z^k] phi^k / (k (k + 1))    (phi = sqrt(a^2 + f)/f')
 
 from the powers of phi alone, with no series reversion, composition or log.
+As f(0) = 0, the binomial series of (a^2 + f)^(k/2) = a^k (1 + f/a^2)^(k/2)
+splits the second into rational series, one for each power of a:
+
+    [z^k] phi^k = sum_{j=0..k} C(k/2, j) a^(k-2j) [z^k] f^j f'^(-k).
 """
 
 from __future__ import annotations
@@ -34,110 +33,6 @@ ZERO = Fraction(0)
 
 class AlgebraError(Exception):
     """Raised when a series operation or an exact identity of a pipeline fails."""
-
-
-# ---------------------------------------------------------------------------
-# Laurent polynomials in the symbol a
-# ---------------------------------------------------------------------------
-
-
-class LaurentA:
-    """Finitely supported map exponent-of-a -> Fraction, exact arithmetic."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[int, Fraction] | None = None):
-        self.coeffs = {int(e): Fraction(c) for e, c in (coeffs or {}).items() if c != 0}
-
-    @classmethod
-    def from_rational(cls, value) -> "LaurentA":
-        return cls({0: Fraction(value)})
-
-    @classmethod
-    def monomial(cls, coeff, exponent: int) -> "LaurentA":
-        return cls({exponent: Fraction(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _coerce(self, other) -> "LaurentA | None":
-        if isinstance(other, (int, Fraction)):
-            return LaurentA.from_rational(other)
-        return other if isinstance(other, LaurentA) else None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, ZERO) + c
-        return LaurentA(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentA({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, ZERO) + c1 * c2
-        return LaurentA(out)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "LaurentA":
-        """Multiplicative inverse; only monomials are invertible here."""
-        if len(self.coeffs) != 1:
-            raise AlgebraError(f"cannot invert non-monomial Laurent element {self}")
-        ((e, c),) = self.coeffs.items()
-        return LaurentA({-e: 1 / c})
-
-    def __truediv__(self, other):
-        return self * (Fraction(1) / other)
-
-    def __rtruediv__(self, other):
-        return other * self.inverse()
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"LaurentA({self.coeffs!r})"
-
-    def __str__(self):
-        return format_laurent(self)
-
-
-def format_laurent(value: LaurentA) -> str:
-    """Render as signed `p/q * a^e` terms, exponents descending; a^0 bare."""
-    if value.is_zero():
-        return "0"
-    pieces = []
-    for e in sorted(value.coeffs, reverse=True):
-        c = value.coeffs[e]
-        mag = abs(c)
-        body = str(mag) if e == 0 else f"{mag} * a^{e}"
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -159,17 +54,7 @@ class Series:
     def constant(cls, value, order: int) -> "Series":
         return cls((value,) + (ZERO,) * order)
 
-    def __eq__(self, other):
-        return isinstance(other, Series) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"Series({list(self.coeffs)!r})"
-
     # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "Series") -> "Series":
-        self._check(other)
-        return Series(a + b for a, b in zip(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "Series") -> "Series":
         self._check(other)
@@ -190,7 +75,7 @@ class Series:
             raise ValueError("series truncation order mismatch")
 
     def scale(self, scalar) -> "Series":
-        """Multiply every coefficient by a scalar (Fraction or LaurentA)."""
+        """Multiply every coefficient by a scalar."""
         return Series(c * scalar for c in self.coeffs)
 
     def shift(self, k: int) -> "Series":
@@ -216,32 +101,40 @@ class Series:
             out.append(-inv0 * acc)
         return Series(out)
 
-    def sqrt_of_unit(self) -> "Series":
-        """Square root of a series with constant term exactly one."""
-        if self.coeffs[0] != 1:
-            raise AlgebraError("sqrt_of_unit requires constant term 1")
-        # s^2 = self with s_0 = 1: 2 s_n = c_n - sum_{j=1}^{n-1} s_j s_{n-j}
-        out = [Fraction(1)]
-        for n in range(1, len(self.coeffs)):
-            acc = sum((out[j] * out[n - j] for j in range(1, n)), ZERO)
-            out.append((self.coeffs[n] - acc) / 2)
-        return Series(out)
-
 
 # ---------------------------------------------------------------------------
 # The two coefficient pipelines
 # ---------------------------------------------------------------------------
 
 
+def format_laurent(coeffs: dict[int, Fraction]) -> str:
+    """Render exponent -> nonzero Fraction as signed `p/q * a^e` terms,
+    exponents descending; a^0 bare."""
+    if not coeffs:
+        return "0"
+    pieces = []
+    for e in sorted(coeffs, reverse=True):
+        c = coeffs[e]
+        mag = abs(c)
+        body = str(mag) if e == 0 else f"{mag} * a^{e}"
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces)
+
+
 @dataclass(frozen=True)
 class CoeffReport:
     label: str  # "c" or "cbar"
-    order: int
-    coefficients: tuple  # Fractions (c) or LaurentA (cbar)
+    coefficients: tuple  # Fractions (c) or dicts exponent-of-a -> Fraction (cbar)
 
     def lines(self) -> list[str]:
         """Golden-file textual form, one coefficient per line."""
-        return [f"{self.label}_{k} = {c}" for k, c in enumerate(self.coefficients, 1)]
+        return [
+            f"{self.label}_{k} = {format_laurent(c) if isinstance(c, dict) else c}"
+            for k, c in enumerate(self.coefficients, 1)
+        ]
 
 
 def build_f(K: int) -> Series:
@@ -284,29 +177,35 @@ def corollary2_coeffs(K: int) -> CoeffReport:
     weight = H.derivative().shift(1) - Series.constant(Fraction(1), K)
     powers = _powers(F * inv_F2 * inv_F2, 1, K)
     coefficients = tuple((weight * p).coeffs[k] / k for k, p in enumerate(powers, 1))
-    return CoeffReport(label="c", order=K, coefficients=coefficients)
+    return CoeffReport(label="c", coefficients=coefficients)
 
 
 def corollary3_coeffs(K: int) -> CoeffReport:
-    """Laurent-polynomial coefficients cbar_1 .. cbar_{K-1} (symbol a).
+    """Coefficients cbar_1 .. cbar_{K-1}, each a dict exponent-of-a -> Fraction.
 
     cbar_k = [w^k](Ebar + log w + log a - 1), where fbar = a^2 + f and
     Ebar(w) = -log z + (2 sqrt(fbar(z)) - 2a)/w at the root z(w) of
     w = z f'/sqrt(fbar).  That equation is z = w phi(z) with
     phi = sqrt(fbar)/f', and H = 2 sqrt(fbar) satisfies H' phi = 1, so
-    Lagrange inversion gives cbar_k = -[z^k] phi^k / (k (k + 1)).
-    phi(0) = a, the leading term of z(w), cancels the log terms at order 0;
-    it is checked.
+    Lagrange inversion gives cbar_k = -[z^k] phi^k / (k (k + 1)), and the
+    binomial series gives [z^k] phi^k = sum_j C(k/2, j) a^(k-2j) [z^k] f^j/f'^k.
+    phi(0) = a/f'(0) must be a, the leading term of z(w), for the log terms to
+    cancel at order 0; that is f'(0) = 1, and it is checked.
     """
     if not (1 <= K <= MAX_ORDER_BARRED):
         raise ValueError(f"order must lie in [1, {MAX_ORDER_BARRED}]")
-    a = LaurentA.monomial(1, 1)
     f = build_f(K)
-    # sqrt(fbar) = a * sqrt(1 + f/a^2)
-    one = Series.constant(Fraction(1), K)
-    sqrt_fbar = (f.scale(LaurentA.monomial(1, -2)) + one).sqrt_of_unit().scale(a)
-    powers = _powers(sqrt_fbar * f.derivative().inverse(), a, K)
-    coefficients = tuple(
-        p.coeffs[k] * Fraction(-1, k * (k + 1)) for k, p in enumerate(powers, 1)
+    inv_powers = _powers(f.derivative().inverse(), 1, K)  # f'^-1 .. f'^-(K-1)
+    f_powers = list(
+        accumulate(repeat(f, K - 1), operator.mul, initial=Series.constant(Fraction(1), K))
     )
-    return CoeffReport(label="cbar", order=K, coefficients=coefficients)
+    coefficients = []
+    for k, g in enumerate(inv_powers, 1):
+        binom, laurent = Fraction(-1, k * (k + 1)), {}  # -C(k/2, j) / (k (k + 1))
+        for j, fj in enumerate(f_powers[: k + 1]):
+            value = binom * sum(x * y for x, y in zip(fj.coeffs, g.coeffs[k::-1]))
+            if value:
+                laurent[k - 2 * j] = value
+            binom *= (Fraction(k, 2) - j) / (j + 1)
+        coefficients.append(laurent)
+    return CoeffReport(label="cbar", coefficients=tuple(coefficients))

@@ -138,7 +138,6 @@ class BatchResult:
     """Vectorised replica summary used by the statistical tests."""
 
     Ns: np.ndarray  # (reps, 2) int64
-    tracked_parts: tuple
     tracked_draws: np.ndarray  # (reps, len(tracked_parts)) int64
 
 
@@ -160,7 +159,7 @@ def sample_batch(spec: SamplerSpec, reps: int, tracked_parts: tuple = ()) -> Bat
             # per-replica sums as differences of running sums, exact in int64
             np.cumsum(r * w, out=sums[1:])
             columns[base : base + rows, col] = (sums[bounds[1:]] - sums[bounds[:-1]])[:rows]
-    return BatchResult(columns[:, :2], tuple(tracked_parts), columns[:, 2:])
+    return BatchResult(columns[:, :2], columns[:, 2:])
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +167,7 @@ def sample_batch(spec: SamplerSpec, reps: int, tracked_parts: tuple = ()) -> Bat
 # ---------------------------------------------------------------------------
 
 
-def char_fn(
-    params: ShapeParams,
-    part_set: PartSet,
-    t: tuple[float, float],
-    tol: float = DEFAULT_TOL,
-) -> complex:
+def char_fn(params: ShapeParams, part_set: PartSet, t: tuple[float, float]) -> complex:
     """Characteristic function of N at frequency t, via the product formula.
 
     log phi = sum_r (1/r) [prod of complex geometric sums - real ones],
@@ -199,7 +193,7 @@ def char_fn(
             majorant += 2.0 * (ga + gb) / r
         return np.stack([term, majorant])
 
-    log_phi = _series(block, min(a, b) if nonzero else a + b, 0.0, tol)[0][0]
+    log_phi = _series(block, min(a, b) if nonzero else a + b, 0.0, DEFAULT_TOL)[0][0]
     return complex(np.exp(log_phi))
 
 
@@ -397,7 +391,7 @@ def llt_check(
 
     cal = calibrate(target, part_set)
     params = cal.params
-    log_z, mean1, mean2, caa, cab, cbb = _log_z_sums(params, part_set, DEFAULT_TOL)
+    log_z, mean1, mean2, caa, cab, cbb = _log_z_sums(params, part_set)
     gamma = np.array([[caa, cab], [cab, cbb]])
     det_gamma = float(np.linalg.det(gamma))
     eigvals = np.linalg.eigvalsh(gamma)

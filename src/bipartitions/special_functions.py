@@ -220,24 +220,24 @@ def _dirichlet_series(alpha, s: float, order: int, tol: float):
     return value.reshape((order + 1,) + a.shape).tolist(), terms, tail
 
 
-def _phi_and_derivatives(alpha, tol: float = DEFAULT_TOL):
+def _phi_and_derivatives(alpha):
     """[Phi, Phi', Phi''] from one pass over r (lists for an array of alpha)."""
-    return _dirichlet_series(alpha, 2.0, 2, tol)[0]
+    return _dirichlet_series(alpha, 2.0, 2, DEFAULT_TOL)[0]
 
 
-def dirichlet(alpha: float, s: float, tol: float = DEFAULT_TOL) -> float:
+def dirichlet(alpha: float, s: float) -> float:
     """D_alpha(s) = sum_{r>=1} r^{-s} e^{-alpha r} / (1 - e^{-alpha r})."""
-    return _dirichlet_series(alpha, s, 0, tol)[0][0]
+    return _dirichlet_series(alpha, s, 0, DEFAULT_TOL)[0][0]
 
 
-def phi(alpha: float, tol: float = DEFAULT_TOL) -> float:
+def phi(alpha: float) -> float:
     """Phi(alpha) = sum_{r>=1} r^{-2} e^{-alpha r}/(1 - e^{-alpha r})."""
-    return dirichlet(alpha, 2.0, tol)
+    return dirichlet(alpha, 2.0)
 
 
-def psi(alpha: float, tol: float = DEFAULT_TOL) -> float:
+def psi(alpha: float) -> float:
     """Psi(alpha) = sum_{r>=1} r^{-1} e^{-alpha r}/(1 - e^{-alpha r})."""
-    return dirichlet(alpha, 1.0, tol)
+    return dirichlet(alpha, 1.0)
 
 
 def sigma2(m: int) -> int:
@@ -256,13 +256,12 @@ def sigma2(m: int) -> int:
     return total
 
 
-def phi_lambert(alpha: float, tol: float = DEFAULT_TOL) -> float:
+def phi_lambert(alpha: float) -> float:
     """Phi via its Lambert-series form sum_m sigma2(m)/m^2 e^{-alpha m}.
 
-    Independent cross-check of :func:`phi`; the two must agree to ~tol.
+    Independent cross-check of :func:`phi`; the two must agree to ~DEFAULT_TOL.
     """
     _check_alpha(alpha)
-    _check_tol(tol)
 
     def block(m):
         weight = np.exp(-alpha * m)
@@ -271,7 +270,7 @@ def phi_lambert(alpha: float, tol: float = DEFAULT_TOL) -> float:
         # majorises the summand and shrinks by exactly e^{-alpha} per step
         return np.stack([sigma / (m * m) * weight, ZETA2 * weight])
 
-    return _series(block, alpha, 0.0, tol)[0][0]
+    return _series(block, alpha, 0.0, DEFAULT_TOL)[0][0]
 
 
 @lru_cache(maxsize=None)
@@ -300,23 +299,23 @@ def zeta_neg(k: int) -> Fraction:
     return -value if k % 2 else value
 
 
-def theta(alpha: float, barred: bool = False, tol: float = DEFAULT_TOL) -> float:
+def theta(alpha: float, barred: bool = False) -> float:
     """Theta(alpha) = -Phi'(alpha)/sqrt(Phi(alpha)); barred uses Phi-bar.
 
     The barred variant keeps the same numerator since Phi-bar' = Phi'.
     Past alpha ~ 709.78 Phi underflows to 0.0, and the strict variant raises
     ValueError; below alpha ~ 2e-103 Phi'' overflows, and both raise it.
     """
-    p, dp, _ = _phi_and_derivatives(alpha, tol)
+    p, dp, _ = _phi_and_derivatives(alpha)
     denom = math.sqrt(p + ZETA2) if barred else math.sqrt(p)
     if denom == 0.0:
         raise ValueError(f"Phi({alpha!r}) underflows to 0.0, so Theta is not representable")
     return -dp / denom
 
 
-def delta(alpha: float, barred: bool = False, tol: float = DEFAULT_TOL) -> float:
+def delta(alpha: float, barred: bool = False) -> float:
     """Delta(alpha) = 2 Phi Phi'' - Phi'^2 (barred: Phi-bar in the product)."""
-    p, dp, ddp = _phi_and_derivatives(alpha, tol)
+    p, dp, ddp = _phi_and_derivatives(alpha)
     if barred:
         p += ZETA2
     return 2.0 * p * ddp - dp * dp

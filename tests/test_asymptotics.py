@@ -212,7 +212,7 @@ class TestRates:
         # reads 1.8 t (K = 0) to 5.3 t (K = 3)
         a = math.sqrt(ZETA2)
         cbar = [
-            sum(float(c) * a**e for e, c in coeff.coeffs.items())
+            sum(float(c) * a**e for e, c in coeff.items())
             for coeff in corollary3_coeffs(K + 2).coefficients
         ]
         series = sum(cbar[k - 1] * t**k for k in range(1, K + 1))

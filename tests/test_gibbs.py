@@ -304,9 +304,9 @@ class TestLLT:
         # takes its Gamma from the same pass
         passes = []
 
-        def counted(params, part_set, tol):
+        def counted(params, part_set):
             passes.append(params)
-            return original(params, part_set, tol)
+            return original(params, part_set)
 
         original = asymptotics._log_z_sums
         monkeypatch.setattr(asymptotics, "_log_z_sums", counted)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bipartitions import special_functions
 from bipartitions.special_functions import (
+    _dirichlet_series,
     _phi_and_derivatives,
     bernoulli,
     delta,
@@ -94,7 +95,7 @@ class TestValidation:
     @pytest.mark.parametrize("bad", [0.0, -1e-9, 1e-3])
     def test_tolerance_domain(self, bad):
         with pytest.raises(ValueError):
-            phi(1.0, tol=bad)
+            _dirichlet_series(1.0, 2.0, 0, bad)
 
     def test_series_term_cap_is_reported(self, monkeypatch):
         # s = 3 is summed directly, and alpha = 1e-6 needs far more terms
