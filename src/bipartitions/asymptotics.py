@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import CalibrationResult, ShapeParams, calibrate, theta_roots
+from .calibration import ShapeParams, calibrate, theta_roots
 from .exact_count import PartSet, Target
 from .special_functions import (
     DEFAULT_TOL,
@@ -68,9 +68,6 @@ class LogZExpansion:
     terms[k] = (-1)^k zeta(-k) D_alpha(1-k) beta^k / k!.
     """
 
-    alpha: float
-    beta: float
-    order: int
     leading: float
     terms: tuple[float, ...]
     value: float
@@ -96,9 +93,7 @@ def log_z_expansion(params: ShapeParams, part_set: PartSet, m: int) -> LogZExpan
         sign = -1.0 if k % 2 else 1.0
         terms.append(sign * float(zk) * dirichlet(a, 1.0 - k) * b**k / factorial)
     value = leading + math.fsum(terms)
-    return LogZExpansion(
-        alpha=a, beta=b, order=m, leading=leading, terms=tuple(terms), value=value
-    )
+    return LogZExpansion(leading=leading, terms=tuple(terms), value=value)
 
 
 def gibbs_mean(params: ShapeParams, part_set: PartSet) -> tuple[float, float]:
@@ -121,14 +116,11 @@ class AsymptoticEstimate:
     log_value: float
     exponent: float
     log_prefactor: float
-    part_set: PartSet
-    calibration: CalibrationResult
 
 
 def theorem_estimate(target: Target, part_set: PartSet) -> AsymptoticEstimate:
     """Main asymptotic formula for log p_X(n1, n2), after calibration."""
-    cal = calibrate(target, part_set)
-    alpha = cal.params.alpha
+    alpha = calibrate(target, part_set).params.alpha
     t = target.n1 / math.sqrt(target.n2)
     p = phi(alpha)
     ps = psi(alpha)
@@ -154,8 +146,6 @@ def theorem_estimate(target: Target, part_set: PartSet) -> AsymptoticEstimate:
         log_value=exponent + log_prefactor,
         exponent=exponent,
         log_prefactor=log_prefactor,
-        part_set=part_set,
-        calibration=cal,
     )
 
 

@@ -23,11 +23,7 @@ MAX_STACK = 1024
 
 
 class ConvergenceError(ValueError):
-    """Root search did not converge; carries the final bracket."""
-
-    def __init__(self, message: str, bracket: tuple[float, float]):
-        super().__init__(f"{message} (bracket: {bracket})")
-        self.bracket = bracket
+    """Root search did not converge; the message names the final bracket."""
 
 
 @dataclass(frozen=True)
@@ -43,8 +39,6 @@ class ShapeParams:
 @dataclass(frozen=True)
 class CalibrationResult:
     params: ShapeParams
-    target: Target
-    part_set: PartSet
     residuals: tuple[float, float]  # relative defects of the two equations
 
 
@@ -73,7 +67,7 @@ def theta_roots(t, barred: bool):
 
     def failure(message, k):
         bracket = (lo[k].item(), hi[k].item())
-        return ConvergenceError(message.format(ti[k].item()), bracket)
+        return ConvergenceError(f"{message.format(ti[k].item())} (bracket: {bracket})")
 
     for _ in range(MAX_ITER):
         if not i.size:
@@ -128,9 +122,4 @@ def calibrate(target: Target, part_set: PartSet) -> CalibrationResult:
     beta = math.sqrt(p / target.n2)
     r1 = abs(-dp / beta - target.n1) / target.n1
     r2 = abs(p / beta**2 - target.n2) / target.n2
-    return CalibrationResult(
-        params=ShapeParams(alpha=alpha, beta=beta),
-        target=target,
-        part_set=part_set,
-        residuals=(r1, r2),
-    )
+    return CalibrationResult(params=ShapeParams(alpha=alpha, beta=beta), residuals=(r1, r2))

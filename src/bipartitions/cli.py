@@ -4,7 +4,10 @@ Subcommands: count, coeffs, compare, rates, sample, llt.  Numeric output is
 CSV (12 significant digits; compare's log_ratio to 10 decimal places, the
 accuracy the calibration supports) or JSON with stable key order; exact
 counts are always printed as decimal strings.  The environment variable
-BIPART_CELL_BUDGET overrides the counting cell budget.
+BIPART_CELL_BUDGET overrides the counting cell budget.  A refused input, an
+exceeded budget or an --output that cannot be opened prints one
+``error: ...`` line on stderr and exits with status 1; argparse usage errors
+exit with status 2.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from typing import IO
 import numpy as np
 
 from .asymptotics import rate_table, theorem_estimate
-from .exact_count import CellBudgetError, PartSet, Target, count_table
+from .calibration import calibrate
+from .exact_count import PartSet, Target, count_table
 from .formal_series import corollary2_coeffs, corollary3_coeffs
 from .gibbs import SamplerSpec, llt_check, pair_rates, samples
 
@@ -27,75 +31,59 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _add_parts_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--parts",
-        choices=["strict", "nonzero"],
-        required=True,
-        help="part set: 'strict' (both coordinates positive) or 'nonzero'",
-    )
-
-
-def _open_output(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bipart", description="bipartite partition counting and asymptotics"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_count = sub.add_parser("count", help="exact partition count")
-    p_count.add_argument("--n1", type=int, required=True)
-    p_count.add_argument("--n2", type=int, required=True)
-    _add_parts_flag(p_count)
-    p_count.add_argument(
-        "--table", action="store_true", help="dump the full table as CSV"
+    # flags that several subcommands share, each declared once
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", "-o", default=None)
+    parts = argparse.ArgumentParser(add_help=False)
+    parts.add_argument(
+        "--parts",
+        choices=["strict", "nonzero"],
+        required=True,
+        help="part set: 'strict' (both coordinates positive) or 'nonzero'",
     )
-    p_count.add_argument("--output", "-o", default=None)
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument("--n1", type=int, required=True)
+    target.add_argument("--n2", type=int, required=True)
 
-    p_coeffs = sub.add_parser("coeffs", help="exact expansion coefficients")
+    def command(name, handler, summary, *parents):
+        p = sub.add_parser(name, parents=[*parents, output], help=summary)
+        p.set_defaults(handler=handler)
+        return p
+
+    p_count = command("count", cmd_count, "exact partition count", target, parts)
+    p_count.add_argument("--table", action="store_true", help="dump the full table as CSV")
+
+    p_coeffs = command("coeffs", cmd_coeffs, "exact expansion coefficients")
     p_coeffs.add_argument("--variant", choices=["c", "cbar"], required=True)
     p_coeffs.add_argument("--order", type=int, required=True)
-    p_coeffs.add_argument("--output", "-o", default=None)
 
-    p_cmp = sub.add_parser("compare", help="exact counts vs the asymptotic formula")
-    _add_parts_flag(p_cmp)
+    p_cmp = command("compare", cmd_compare, "exact counts vs the asymptotic formula", parts)
     p_cmp.add_argument("--t", type=float, default=1.0)
     p_cmp.add_argument(
         "--n2-grid", default="100,225,400,625,900", help="comma-separated n2 values"
     )
-    p_cmp.add_argument("--output", "-o", default=None)
 
-    p_rates = sub.add_parser("rates", help="tabulate the two rate functions")
+    p_rates = command("rates", cmd_rates, "tabulate the two rate functions")
     p_rates.add_argument("--t-min", type=float, default=0.01)
     p_rates.add_argument("--t-max", type=float, default=4.0)
     p_rates.add_argument("--steps", type=int, default=100)
-    p_rates.add_argument("--output", "-o", default=None)
 
-    p_sample = sub.add_parser("sample", help="Boltzmann partition sampling")
-    p_sample.add_argument("--n1", type=int, required=True)
-    p_sample.add_argument("--n2", type=int, required=True)
-    _add_parts_flag(p_sample)
+    p_sample = command("sample", cmd_sample, "Boltzmann partition sampling", target, parts)
     p_sample.add_argument("--reps", type=int, default=1)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--tv-budget", type=float, default=1e-4)
-    p_sample.add_argument("--output", "-o", default=None)
 
-    p_llt = sub.add_parser("llt", help="local-limit-theorem report")
-    p_llt.add_argument("--n1", type=int, required=True)
-    p_llt.add_argument("--n2", type=int, required=True)
-    _add_parts_flag(p_llt)
-    p_llt.add_argument("--output", "-o", default=None)
-
+    command("llt", cmd_llt, "local-limit-theorem report", target, parts)
     return parser
 
 
 def cmd_count(args, out: IO[str]) -> None:
-    part_set = PartSet.from_name(args.parts)
+    part_set = PartSet(args.parts)
     table = count_table(part_set, args.n1, args.n2)
     if args.table:
         table.to_csv(out)
@@ -110,8 +98,13 @@ def cmd_coeffs(args, out: IO[str]) -> None:
 
 
 def cmd_compare(args, out: IO[str]) -> None:
-    part_set = PartSet.from_name(args.parts)
+    part_set = PartSet(args.parts)
     grid = [int(v) for v in args.n2_grid.split(",") if v]
+    if not math.isfinite(args.t):
+        raise ValueError(f"t must be finite, got {args.t}")
+    for n2 in grid:
+        if n2 < 1:
+            raise ValueError(f"n2-grid values must be >= 1, got {n2}")
     points = [(max(1, int(math.floor(args.t * math.sqrt(n2)))), n2) for n2 in grid]
     out.write("n2,n1,p_exact,log_pred,log_ratio\n")
     if not points:
@@ -137,9 +130,9 @@ def cmd_rates(args, out: IO[str]) -> None:
 
 
 def cmd_sample(args, out: IO[str]) -> None:
-    from .calibration import calibrate
-
-    part_set = PartSet.from_name(args.parts)
+    if args.reps < 0:
+        raise ValueError(f"reps must be >= 0, got {args.reps}")
+    part_set = PartSet(args.parts)
     cal = calibrate(Target(args.n1, args.n2), part_set)
     spec = SamplerSpec(cal.params, part_set, args.tv_budget, args.seed)
     rates, tail_bound = pair_rates(spec)
@@ -166,32 +159,23 @@ def cmd_sample(args, out: IO[str]) -> None:
 
 
 def cmd_llt(args, out: IO[str]) -> None:
-    part_set = PartSet.from_name(args.parts)
+    part_set = PartSet(args.parts)
     report = llt_check(Target(args.n1, args.n2), part_set)
     out.write(report.to_json() + "\n")
 
 
-HANDLERS = {
-    "count": cmd_count,
-    "coeffs": cmd_coeffs,
-    "compare": cmd_compare,
-    "rates": cmd_rates,
-    "sample": cmd_sample,
-    "llt": cmd_llt,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out, should_close = _open_output(getattr(args, "output", None))
+    args = build_parser().parse_args(argv)
+    out = sys.stdout
     try:
-        HANDLERS[args.command](args, out)
-    except (CellBudgetError, ValueError) as exc:
+        if args.output not in (None, "-"):
+            out = open(args.output, "w")
+        args.handler(args, out)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        if should_close:
+        if out is not sys.stdout:
             out.close()
     return 0
 

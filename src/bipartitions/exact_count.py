@@ -29,13 +29,6 @@ class PartSet(Enum):
     STRICT_POSITIVE = "strict"
     NONZERO_VECTORS = "nonzero"
 
-    @classmethod
-    def from_name(cls, name: str) -> "PartSet":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise ValueError(f"unknown part set {name!r} (expected 'strict' or 'nonzero')")
-
 
 @dataclass(frozen=True)
 class Target:
@@ -52,7 +45,7 @@ class Target:
 DEFAULT_CELL_BUDGET = 1 << 26
 
 
-class CellBudgetError(Exception):
+class CellBudgetError(ValueError):
     """Raised when a requested table would exceed the cell budget."""
 
 

@@ -145,35 +145,19 @@ def _closed_form(a: np.ndarray, s: float) -> np.ndarray:
 
 
 def _closed_form_bound(a: np.ndarray, s: float, order: int) -> np.ndarray:
-    """The closed form's stated remainder bound for s in {1, 2}, the largest
-    over the derivatives k <= order <= 2, at each alpha of a; inf from
-    _CLOSED_FORM_ALPHA on."""
+    """The closed form's stated remainder bound, the largest over the
+    derivatives k <= order, at each alpha of a; inf where no closed form
+    applies: s not in {1, 2}, order > 2 or alpha >= _CLOSED_FORM_ALPHA."""
+    if s not in (1.0, 2.0) or order > 2 or a.min() >= _CLOSED_FORM_ALPHA:
+        return np.full(a.shape, np.inf)
     k = np.arange(order + 1.0)[:, None]
-    if s == 2.0:
-        bound = np.array(_MELLIN_BOUND[: order + 1])[:, None] * a ** (_MELLIN_ORDER - k)
-    else:
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):
+        if s == 2.0:
+            bound = np.array(_MELLIN_BOUND[: order + 1])[:, None] * a ** (_MELLIN_ORDER - k)
+        else:
             log_step = np.log(_FOUR_PI2 + 2.0 * a) - 2.0 * np.log(a)
             bound = 2.0 * np.exp(k * log_step - _FOUR_PI2 / a)
     return np.where(a < _CLOSED_FORM_ALPHA, bound.max(axis=0), np.inf)
-
-
-def _direct_sums(a: np.ndarray, unit: np.ndarray, s: float, order: int, tol: float):
-    """(value, terms, tail_bound) of the r-sums for D^(k)(alpha), k = 0..order,
-    at the alphas of the 1-D array a, value being an (order + 1, a.size)
-    array; each alpha's rows are summed in units of its unit, and min(a)
-    bounds every ratio."""
-    a_col, unit_col = a.reshape(-1, 1), unit.reshape(-1, 1)
-    k = np.arange(order + 1.0)[:, None]
-
-    def block(r):
-        g = np.stack(_geometric(a_col * r)[: order + 1])
-        g *= ((-1.0) ** k * r ** (k - s))[:, None]
-        g /= unit_col
-        return g
-
-    value, terms, tail = _series(block, a.min(), max(0.0, order - s), tol)
-    return np.reshape(value, (order + 1, a.size)) * unit, terms, tail
 
 
 def _dirichlet_series(alpha, s: float, order: int, tol: float):
@@ -182,41 +166,45 @@ def _dirichlet_series(alpha, s: float, order: int, tol: float):
 
     alpha is a float or a 1-D array (value[k] then lists one sum per alpha).
     Each alpha's rows are summed in units of u = min(1, G0(alpha)) > 0, in
-    which tail_bound is stated: error < tol * u.  For s in {1, 2} and
-    order <= 2, an alpha below _CLOSED_FORM_ALPHA whose closed-form bound is
-    at most tol * u (u = 1 there) takes the closed form and leaves the r-sum,
-    whose length only the other alphas set; terms and tail_bound are then the
-    larger of the residue count and the r-sum's terms, and of the two bounds.
-    A closed form that overflows raises ValueError naming its alpha.
+    which tail_bound is stated: error < tol * u.  An alpha whose closed-form
+    bound is at most tol * u (u = 1 there) takes the closed form; the others
+    are summed over r, with min(alpha) of those bounding every ratio.  terms
+    and tail_bound are the larger of the residue count and the r-sum's terms,
+    and of the two bounds.  A closed form that overflows raises ValueError
+    naming its alpha.
     """
     _check_alpha(alpha)
     _check_tol(tol)
     a = np.asarray(alpha, dtype=float)
     flat = a.reshape(-1)
     unit = np.maximum(np.minimum(np.exp(-flat) / -np.expm1(-flat), 1.0), _TINY)  # G0, no overflow
-    closed = None
-    if s in (1.0, 2.0) and order <= 2 and flat.min() < _CLOSED_FORM_ALPHA:
-        bound = _closed_form_bound(flat, s, order)
-        closed = bound <= tol * unit
-    if closed is None or not closed.any():
-        value, terms, tail = _direct_sums(flat, unit, s, order, tol)
-    else:
-        closed_value = _closed_form(flat[closed], s)[: order + 1]
-        finite = np.isfinite(closed_value).all(axis=0)
+    bound = _closed_form_bound(flat, s, order)
+    closed = bound <= tol * unit
+    direct = ~closed
+    value = np.empty((order + 1, flat.size))
+    terms, tail = 0, 0.0
+    if closed.any():
+        value[:, closed] = _closed_form(flat[closed], s)[: order + 1]
+        finite = np.isfinite(value[:, closed]).all(axis=0)
         if not finite.all():
             bad = flat[closed][~finite][0].item()
             raise ValueError(f"D_alpha({s!r}) or a derivative overflows at alpha = {bad!r}")
-        value = np.empty((order + 1, flat.size))
-        value[:, closed] = closed_value
         # residues at w = 1, 0, -1, and for s = 2 the odd w = -3 .. -15
         terms = 3 if s == 1.0 else 3 + (_MELLIN_ORDER - 2) // 2
         tail = float(bound[closed].max())
-        if not closed.all():
-            direct = ~closed
-            value[:, direct], direct_terms, direct_tail = _direct_sums(
-                flat[direct], unit[direct], s, order, tol
-            )
-            terms, tail = max(terms, direct_terms), max(tail, direct_tail)
+    if direct.any():
+        a_col, unit_col = flat[direct, None], unit[direct, None]
+        k = np.arange(order + 1.0)[:, None]
+
+        def block(r):
+            g = np.stack(_geometric(a_col * r)[: order + 1])
+            g *= ((-1.0) ** k * r ** (k - s))[:, None]
+            g /= unit_col
+            return g
+
+        sums, direct_terms, direct_tail = _series(block, a_col.min(), max(0.0, order - s), tol)
+        value[:, direct] = np.reshape(sums, (order + 1, -1)) * unit[direct]
+        terms, tail = max(terms, direct_terms), max(tail, direct_tail)
     return value.reshape((order + 1,) + a.shape).tolist(), terms, tail
 
 

@@ -56,6 +56,14 @@ class TestCount:
         assert code == 1 and out == ""
         assert "error:" in err
 
+    def test_unwritable_output_is_reported(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "count.txt"
+        code, out, err = run(
+            capsys, "count", "--n1", "3", "--n2", "3", "--parts", "strict", "-o", str(path)
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and str(path) in err
+
 
 class TestCoeffs:
     def test_unbarred(self, capsys):
@@ -162,6 +170,13 @@ class TestCompare:
             log_ratio = row.split(",")[4]
             assert len(log_ratio.split(".")[1]) == 10
 
+    def test_refused_inputs_are_reported(self, capsys):
+        code, out, err = run(capsys, "compare", "--parts", "strict", "--n2-grid", "25,-4")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "-4" in err
+        code, out, err = run(capsys, "compare", "--parts", "strict", "--t", "inf")
+        assert code == 1 and out == "" and err == "error: t must be finite, got inf\n"
+
     def test_one_table_for_the_grid(self, capsys, monkeypatch):
         calls = []
 
@@ -239,6 +254,13 @@ class TestSample:
         )
         assert code == 1 and out == ""
         assert err.startswith("error: tv_budget")
+
+    def test_negative_reps_are_reported(self, capsys):
+        code, out, err = run(
+            capsys, "sample", "--n1", "10", "--n2", "400", "--parts", "strict", "--reps", "-2"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "-2" in err
 
     def test_tiny_alpha_is_calibrated(self, capsys):
         # alpha ~ 1e-8, where Phi and its derivatives come in closed form

@@ -211,10 +211,10 @@ class TestBudgetAndValidation:
             count_table(PartSet.STRICT_POSITIVE, -1, 2)
 
     def test_part_set_names(self):
-        assert PartSet.from_name("strict") is PartSet.STRICT_POSITIVE
-        assert PartSet.from_name("nonzero") is PartSet.NONZERO_VECTORS
+        assert PartSet("strict") is PartSet.STRICT_POSITIVE
+        assert PartSet("nonzero") is PartSet.NONZERO_VECTORS
         with pytest.raises(ValueError):
-            PartSet.from_name("all")
+            PartSet("all")
 
     def test_naive_limit(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,9 @@
 private module-level name and every non-dunder method of the package is read
 somewhere in it, every public module-level name of a module is read by that
 module, or imported from it or read as module.name in the package or the bench
-(or is on TEST_ONLY_API), and no line is longer than MAX_LINE characters."""
+(or is on TEST_ONLY_API), every dataclass field of the package is read as an
+attribute in the package, the bench or the tests, and no line is longer than
+MAX_LINE characters."""
 
 import ast
 from pathlib import Path
@@ -223,4 +225,40 @@ def test_no_dead_methods():
     assert sources
     defined = set().union(*map(method_definitions, sources))
     read = set().union(*map(read_attributes, sources))
+    assert sorted(defined - read) == []
+
+
+def dataclass_fields(source: str) -> set[str]:
+    """Annotated field names of the source's @dataclass classes."""
+
+    def is_dataclass(decorator) -> bool:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return isinstance(target, ast.Name) and target.id == "dataclass"
+
+    return {
+        item.target.id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    }
+
+
+def test_field_detector():
+    source = (
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
+        "    def f(self):\n        return self.x\n"
+        "@dataclass\nclass B:\n    z: int\nclass C:\n    w: int\n"
+        "def g(b):\n    b.z = 1\n"
+    )
+    assert dataclass_fields(source) == {"x", "y", "z"}
+    assert dataclass_fields(source) - read_attributes(source) == {"y", "z"}
+
+
+def test_no_dead_dataclass_fields():
+    sources = [path.read_text() for path in ROOT.glob("src/bipartitions/*.py")]
+    readers = [path.read_text() for path in [*ROOT.glob("bench/*.py"), *source_files()]]
+    assert sources and len(readers) > len(sources)
+    defined = set().union(*map(dataclass_fields, sources))
+    read = set().union(*map(read_attributes, readers))
     assert sorted(defined - read) == []
