@@ -123,6 +123,11 @@ def cmd_compare(args, out: IO[str]) -> None:
 def cmd_rates(args, out: IO[str]) -> None:
     if args.steps < 1:
         raise ValueError("steps must be >= 1")
+    for flag, t in (("t-min", args.t_min), ("t-max", args.t_max)):
+        if not (math.isfinite(t) and t > 0):
+            raise ValueError(f"--{flag} must be finite and positive, got {t}")
+    if args.t_min > args.t_max:
+        raise ValueError(f"--t-min {args.t_min} exceeds --t-max {args.t_max}")
     rows = rate_table(np.linspace(args.t_min, args.t_max, args.steps).tolist())
     out.write("t,h,h_bar\n")
     for t, h, h_bar in rows:

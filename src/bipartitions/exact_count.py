@@ -2,18 +2,20 @@
 
 The main routine builds a dense table of counts p_X(a, b) for a <= n1,
 b <= n2, one q2-row P_a per a, by the Euler-transform recurrence
-a P_a = sum_{i=1..a} M_i P_{a-i}, in additions only.  A recursive enumeration
-oracle and a 1-D partition counter serve as independent ground truth.
+a P_a = sum_{i=1..a} M_i P_{a-i}, in row additions only: the weighted sums
+it needs are carried from row to row instead of being formed afresh, and the
+1-D partition row comes from Euler's pentagonal recurrence.  A recursive
+enumeration oracle and a 1-D partition counter serve as independent ground
+truth.
 """
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import IO, Iterator
+from typing import IO
 
 import numpy as np
 
@@ -61,18 +63,13 @@ class CountTable:
     def get(self, a: int, b: int) -> int:
         return self.counts[a][b]
 
-    def rows(self) -> Iterator[tuple[int, int, int]]:
-        for a in range(self.max1 + 1):
-            row = self.counts[a]
-            for b in range(self.max2 + 1):
-                yield a, b, row[b]
-
     def to_csv(self, stream: IO[str]) -> None:
-        """Dump the table as `a,b,count` rows with a header line."""
-        writer = csv.writer(stream)
-        writer.writerow(["a", "b", "count"])
-        for a, b, c in self.rows():
-            writer.writerow([a, b, str(c)])
+        """Dump the table as `a,b,count` lines after a header line, each ended
+        by CRLF as the csv module's default dialect writes them."""
+        lines = (
+            f"{a},{b},{c}\r\n" for a, row in enumerate(self.counts) for b, c in enumerate(row)
+        )
+        stream.write("a,b,count\r\n" + "".join(lines))
 
 
 def parts_in_box(part_set: PartSet, n1: int, n2: int) -> list[tuple[int, int]]:
@@ -100,10 +97,17 @@ def count_table(part_set: PartSet, n1: int, n2: int) -> CountTable:
     (part (i/d, j/d) taken d times).  The part set decides only P_0 (1, or the
     1-D partition row for parts (0, x2)) and column 0 of M_i (parts (i/d, 0)).
     Grouping i = d e turns the products into comb sums S_d (`_comb_sum`):
-    a P_a = sum_{d<=a} S_d u_d with u_d = sum_{e<=a/d} e P_{a-de}, and the sum
-    divides exactly by a.  The cost grows like n1^2 log(n1) n2, so a thin table
-    with n1 > n2 is built as the (n2, n1) table and transposed: both part sets
-    are symmetric under (x1, x2) -> (x2, x1).
+    a P_a = sum_{d<=a} S_d u_d(a) with u_d(a) = sum_{e<=a/d} e P_{a-de}, and the
+    sum divides exactly by a.  For strict parts the combs start at m = 1, and
+    S_d u - u is S_d u shifted by d columns.
+
+    u_d telescopes down each residue class mod d: with V_d(a) = V_d(a-d) +
+    P_{a-d}, u_d(a) = u_d(a-d) + V_d(a), two row additions per (a, d).  Every
+    d carried would hold ~n1^2/2 rows, so only d <= TELESCOPE_MAX_D is (at
+    most 72 rows); larger d, where a/d is small, sum u_d afresh.  The cost
+    grows like n1^2 n2 additions, so a thin table with n1 > n2 is built as the
+    (n2, n1) table and transposed: both part sets are symmetric under
+    (x1, x2) -> (x2, x1).
     """
     if n1 < 0 or n2 < 0:
         raise ValueError("table bounds must be non-negative")
@@ -118,16 +122,35 @@ def count_table(part_set: PartSet, n1: int, n2: int) -> CountTable:
     return CountTable(part_set, n1, n2, counts)
 
 
+# Largest d whose u_d is carried across rows; the carried state is at most
+# 2 * (1 + 2 + ... + 8) = 72 rows.
+TELESCOPE_MAX_D = 8
+
+
 def _count_rows(part_set: PartSet, n1: int, n2: int) -> list[np.ndarray]:
-    """Rows P_0 .. P_n1 of the table, by the recurrence of `count_table`."""
+    """Rows P_0 .. P_n1 of the table (n1 <= n2), by the recurrence of `count_table`."""
     axis = part_set is PartSet.NONZERO_VECTORS
     rows = [_partition_row(n2) if axis else np.array([1] + [0] * n2, dtype=object)]
+    zero = np.zeros(n2 + 1, dtype=object)
+    carried: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}  # (d, a % d) -> V, u
     for a in range(1, n1 + 1):
         total = np.zeros(n2 + 1, dtype=object)
         for d in range(1, a + 1):
-            u = sum(e * rows[a - d * e] for e in range(1, a // d + 1))
-            # strict parts have x2 >= 1, so their combs start at m = 1
-            total += _comb_sum(u, d) if axis else _comb_sum(u, d) - u
+            if d <= TELESCOPE_MAX_D:
+                v, u = carried.pop((d, a % d), (zero, zero))
+                v = v + rows[a - d]
+                u = u + v
+                if a + d <= n1:
+                    carried[d, a % d] = v, u
+            else:
+                u = rows[a - d]
+                for e in range(2, a // d + 1):
+                    u = u + e * rows[a - d * e]
+            c = _comb_sum(u, d)
+            if axis:
+                total += c
+            else:  # strict combs start at m = 1: S_d u - u is S_d u shifted by d
+                total[d:] += c[:-d]
         rows.append(total // a)
     return rows
 
@@ -167,15 +190,21 @@ def count_naive(part_set: PartSet, target: Target) -> int:
 
 
 def _partition_row(n: int) -> np.ndarray:
-    """1-D partition numbers p(0), ..., p(n): prod_k 1/(1 - q^k) as comb sums."""
-    row = np.array([1] + [0] * n, dtype=object)
-    for k in range(1, n + 1):
-        row = _comb_sum(row, k)
-    return row
+    """1-D partition numbers p(0), ..., p(n) by Euler's pentagonal recurrence
+    p(m) = sum_{k>=1} (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2))."""
+    p = [1] + [0] * n
+    for m in range(1, n + 1):
+        total, k = 0, 1
+        while (g := k * (3 * k - 1) // 2) <= m:
+            term = p[m - g] + (p[m - g - k] if g + k <= m else 0)
+            total += term if k % 2 else -term
+            k += 1
+        p[m] = total
+    return np.array(p, dtype=object)
 
 
 def count_1d(n: int) -> int:
-    """Number of 1-D integer partitions p(n), by the Euler product."""
+    """Number of 1-D integer partitions p(n), by the pentagonal recurrence."""
     if n < 0:
         raise ValueError("count_1d requires n >= 0")
     return _partition_row(n)[n]

@@ -244,23 +244,6 @@ def sigma2(m: int) -> int:
     return total
 
 
-def phi_lambert(alpha: float) -> float:
-    """Phi via its Lambert-series form sum_m sigma2(m)/m^2 e^{-alpha m}.
-
-    Independent cross-check of :func:`phi`; the two must agree to ~DEFAULT_TOL.
-    """
-    _check_alpha(alpha)
-
-    def block(m):
-        weight = np.exp(-alpha * m)
-        sigma = np.array([sigma2(int(k)) for k in m], dtype=float)
-        # sigma2(m)/m^2 = sum_{d | m} d^{-2} < zeta(2), so the second row
-        # majorises the summand and shrinks by exactly e^{-alpha} per step
-        return np.stack([sigma / (m * m) * weight, ZETA2 * weight])
-
-    return _series(block, alpha, 0.0, DEFAULT_TOL)[0][0]
-
-
 @lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n with the convention B_1 = -1/2."""

@@ -131,6 +131,21 @@ class TestRates:
         code, _, err = run(capsys, "rates", "--steps", "0")
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_bound_is_refused(self, capsys, value):
+        # checked before the grid is built: no numpy warning, and the value given
+        code, out, err = run(capsys, "rates", "--t-min", value, "--t-max", value)
+        assert code == 1 and out == ""
+        assert err == f"error: --t-min must be finite and positive, got {value}\n"
+        code, _, err = run(capsys, "rates", "--t-max", value)
+        assert err == f"error: --t-max must be finite and positive, got {value}\n"
+
+    def test_bad_interval_is_refused(self, capsys):
+        code, _, err = run(capsys, "rates", "--t-min", "0", "--t-max", "1")
+        assert code == 1 and err == "error: --t-min must be finite and positive, got 0.0\n"
+        code, _, err = run(capsys, "rates", "--t-min", "2", "--t-max", "1")
+        assert code == 1 and err == "error: --t-min 2.0 exceeds --t-max 1.0\n"
+
     def test_underflowing_ratio_is_reported(self, capsys):
         # the strict root lies beyond alpha ~ 709, where Phi underflows to 0.0
         code, _, err = run(

@@ -2,10 +2,13 @@
 
 import hashlib
 import io
+import tracemalloc
+from functools import lru_cache
 
 import pytest
 
 from bipartitions.exact_count import (
+    NAIVE_LIMIT,
     CellBudgetError,
     PartSet,
     Target,
@@ -18,10 +21,28 @@ from bipartitions.exact_count import (
 P1D = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 
 
+@lru_cache(maxsize=None)
+def euler_product_partitions(n: int) -> tuple[int, ...]:
+    """p(0), ..., p(n) from prod_k 1/(1 - q^k), one comb sum per factor: the
+    prefix sum down each residue class mod k.  Independent of the pentagonal
+    recurrence that the package uses."""
+    p = [1] + [0] * n
+    for k in range(1, n + 1):
+        for m in range(k, n + 1):
+            p[m] += p[m - k]
+    return tuple(p)
+
+
 class TestCount1D:
     def test_known_values(self):
         assert [count_1d(n) for n in range(11)] == P1D
         assert count_1d(50) == 204226
+
+    def test_matches_euler_product(self):
+        p = euler_product_partitions(2000)
+        for n in (0, 1, 7, 100, 999, 1000, 1999, 2000):
+            assert count_1d(n) == p[n]
+        assert count_table(PartSet.NONZERO_VECTORS, 0, 2000).counts[0] == p
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -72,7 +93,7 @@ class TestTableBasics:
         # with one coordinate zero only the empty partition remains
         for n1, n2 in [(0, 5), (5, 0)]:
             t = count_table(PartSet.STRICT_POSITIVE, n1, n2)
-            assert [c for _, _, c in t.rows()] == [1] + [0] * 5
+            assert [c for row in t.counts for c in row] == [1] + [0] * 5
 
     def test_transpose_symmetry(self):
         for ps in PartSet:
@@ -82,10 +103,11 @@ class TestTableBasics:
                     assert t.get(a, b) == t.get(b, a)
 
     def test_matches_naive_enumeration(self):
+        n = NAIVE_LIMIT
         for ps in PartSet:
-            t = count_table(ps, 5, 5)
-            for a in range(6):
-                for b in range(6):
+            t = count_table(ps, n, n)
+            for a in range(n + 1):
+                for b in range(n + 1):
                     assert t.get(a, b) == count_naive(ps, Target(a, b))
 
 
@@ -96,6 +118,20 @@ def csv_digest(table) -> str:
 
 
 class TestGoldenTables:
+    # at (17, 300), frozen from the recurrence before u_d was carried across
+    # rows: from row 9 on, u_d for d > TELESCOPE_MAX_D = 8 is summed afresh
+    @pytest.mark.parametrize(
+        "part_set, digest",
+        [
+            (PartSet.STRICT_POSITIVE,
+             "2b329feb782dc3de6fde38ad7398dfcc22f1a37f61571a99562c9ed545e8c9c5"),
+            (PartSet.NONZERO_VECTORS,
+             "0fcab47ed4cfec0f442503f0eac33f71382baab268fb1fa42230931b177a2941"),
+        ],
+    )
+    def test_untelescoped_table_digest(self, part_set, digest):
+        assert csv_digest(count_table(part_set, 17, 300)) == digest
+
     # sha256 of the CSV dump at (20, 424), frozen from the knapsack DP that
     # the row recurrence replaced
     @pytest.mark.parametrize(
@@ -125,18 +161,6 @@ class TestGoldenTables:
         assert csv_digest(count_table(part_set, 30, 900)) == digest
 
 
-def pentagonal_partitions(n: int) -> list[int]:
-    """p(0), ..., p(n) by Euler's pentagonal-number recurrence."""
-    p = [1] + [0] * n
-    for m in range(1, n + 1):
-        k = 1
-        while (g := k * (3 * k - 1) // 2) <= m:
-            sign = 1 if k % 2 else -1
-            p[m] += sign * (p[m - g] + (p[m - g - k] if g + k <= m else 0))
-            k += 1
-    return p
-
-
 class TestThinTables:
     # n1 >> n2: closed forms that do not depend on how the table is built
     def test_strict_columns(self):
@@ -149,9 +173,9 @@ class TestThinTables:
 
     def test_nonzero_axes(self):
         t = count_table(PartSet.NONZERO_VECTORS, 3000, 2)
-        p = pentagonal_partitions(3000)
-        assert [t.get(a, 0) for a in range(3001)] == p
-        assert list(t.counts[0]) == p[:3]
+        p = euler_product_partitions(3000)
+        assert tuple(t.get(a, 0) for a in range(3001)) == p
+        assert t.counts[0] == p[:3]
 
     def test_transposed_matches_naive(self):
         for ps in PartSet:
@@ -221,10 +245,36 @@ class TestBudgetAndValidation:
             count_naive(PartSet.STRICT_POSITIVE, Target(9, 1))
 
 
+class TestMemory:
+    def test_carried_rows_are_capped(self):
+        # the carried u_d and V_d rows (d <= 8) stay below 4x what the finished
+        # table holds: 2.3x here, 8x if every d were carried.  n2 = 60 keeps
+        # the traced run near a second; the ratio barely moves with n2.
+        tracemalloc.start()
+        try:
+            table = count_table(PartSet.STRICT_POSITIVE, 60, 60)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.get(60, 60) > 0
+        assert peak <= 4 * held
+
+
 class TestCsv:
-    def test_header_and_rows(self):
+    def dump(self, part_set, n1, n2) -> str:
         buf = io.StringIO()
-        count_table(PartSet.STRICT_POSITIVE, 1, 1).to_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "a,b,count"
-        assert lines[1:] == ["0,0,1", "0,1,0", "1,0,0", "1,1,1"]
+        count_table(part_set, n1, n2).to_csv(buf)
+        return buf.getvalue()
+
+    def test_header_and_rows(self):
+        assert self.dump(PartSet.STRICT_POSITIVE, 1, 1) == (
+            "a,b,count\r\n0,0,1\r\n0,1,0\r\n1,0,0\r\n1,1,1\r\n"
+        )
+
+    def test_nonzero_bytes(self):
+        assert self.dump(PartSet.NONZERO_VECTORS, 2, 3) == (
+            "a,b,count\r\n"
+            "0,0,1\r\n0,1,1\r\n0,2,2\r\n0,3,3\r\n"
+            "1,0,1\r\n1,1,2\r\n1,2,4\r\n1,3,7\r\n"
+            "2,0,2\r\n2,1,4\r\n2,2,9\r\n2,3,16\r\n"
+        )

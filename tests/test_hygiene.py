@@ -14,7 +14,6 @@ MAX_LINE = 99
 
 # public names that only the tests read, and why each stays public
 TEST_ONLY_API = {
-    "phi_lambert": "independent Lambert-series oracle for phi",
     "log_z_direct": "read by tests/test_acceptance.py",
     "log_z_expansion": "read by tests/test_acceptance.py",
     "rate_function": "read by tests/test_acceptance.py",

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,6 @@ from bipartitions.special_functions import (
     delta,
     dirichlet,
     phi,
-    phi_lambert,
     psi,
     sigma2,
     theta,
@@ -23,6 +23,18 @@ from bipartitions.special_functions import (
 )
 
 ZETA3 = 1.2020569031595943
+
+
+def phi_lambert(alpha: float) -> float:
+    """Phi via its Lambert-series form sum_m sigma2(m)/m^2 e^{-alpha m}: an
+    oracle independent of the r-series that `phi` sums.  sigma2(m)/m^2 < zeta(2),
+    so the terms past M sum to less than zeta(2) e^{-alpha (M + 1)}/(1 - e^{-alpha}),
+    and M is chosen to put this under 1e-13."""
+    zeta2 = math.pi**2 / 6
+    M = math.ceil(math.log(zeta2 / (1e-13 * -math.expm1(-alpha))) / alpha)
+    m = np.arange(1, M + 1, dtype=float)
+    sigma = np.array([sigma2(k) for k in range(1, M + 1)], dtype=float)
+    return float(np.sum(sigma / (m * m) * np.exp(-alpha * m)))
 
 
 class TestPhi:
