@@ -16,16 +16,7 @@ import numpy as np
 from .calibration import ShapeParams, calibrate, theta_roots
 from .exact_count import PartSet, Target
 from .special_functions import (
-    DEFAULT_TOL,
-    ZETA2,
-    _dirichlet_series,
-    _geometric,
-    _series,
-    delta,
-    dirichlet,
-    phi,
-    psi,
-    zeta_neg,
+    _dirichlet_series, _geometric, _series, delta, dirichlet, psi, zeta_neg,
 )
 
 MAX_EXPANSION_ORDER = 8
@@ -42,10 +33,10 @@ def _log_z_sums(params: ShapeParams, part_set: PartSet) -> tuple:
         b0, b1, b2 = _geometric(b * r)
         return np.stack([a0 * b0 / r, a1 * b0, a0 * b1, r * a2 * b0, r * a1 * b1, r * a0 * b2])
 
-    sums = _series(block, a + b, 1.0, DEFAULT_TOL)[0]
+    sums = _series(block, a + b, 1.0)[0]
     if part_set is PartSet.NONZERO_VECTORS:
-        pa, dpa, ddpa = _dirichlet_series(a, 1.0, 2, DEFAULT_TOL)[0]
-        pb, dpb, ddpb = _dirichlet_series(b, 1.0, 2, DEFAULT_TOL)[0]
+        pa, dpa, ddpa = _dirichlet_series(a, 1.0, 2)[0]
+        pb, dpb, ddpb = _dirichlet_series(b, 1.0, 2)[0]
         axes = (pa + pb, -dpa, -dpb, ddpa, 0.0, ddpb)
         sums = [s + x for s, x in zip(sums, axes)]
     return tuple(sums)
@@ -119,27 +110,27 @@ class AsymptoticEstimate:
 
 
 def theorem_estimate(target: Target, part_set: PartSet) -> AsymptoticEstimate:
-    """Main asymptotic formula for log p_X(n1, n2), after calibration."""
-    alpha = calibrate(target, part_set).params.alpha
-    t = target.n1 / math.sqrt(target.n2)
-    p = phi(alpha)
-    ps = psi(alpha)
+    """Main asymptotic formula for log p_X(n1, n2) at the calibrated (alpha, beta).
 
+    With beta = sqrt(P(alpha)/n2), P = Phi (+ pi^2/6 for the nonzero set), the
+    exponent (alpha t + 2 sqrt(P)) sqrt(n2) is alpha n1 + 2 beta n2 and
+    log(P/n2) is 2 log beta, so P is the calibration's own.
+    """
+    params = calibrate(target, part_set).params
+    alpha, beta = params.alpha, params.beta
+    exponent = alpha * target.n1 + 2.0 * beta * target.n2
     if part_set is PartSet.STRICT_POSITIVE:
-        exponent = (alpha * t + 2.0 * math.sqrt(p)) * math.sqrt(target.n2)
         log_prefactor = (
             -math.log(2.0 * math.pi)
-            + math.log(p / target.n2)
-            - 0.5 * ps
+            + 2.0 * math.log(beta)
+            - 0.5 * psi(alpha)
             - 0.5 * math.log(delta(alpha, barred=False))
         )
     else:
-        pb = p + ZETA2
-        exponent = (alpha * t + 2.0 * math.sqrt(pb)) * math.sqrt(target.n2)
         log_prefactor = (
             -1.5 * math.log(2.0 * math.pi)
-            + 1.25 * math.log(pb / target.n2)
-            + 0.5 * ps
+            + 2.5 * math.log(beta)
+            + 0.5 * psi(alpha)
             - 0.5 * math.log(delta(alpha, barred=True))
         )
     return AsymptoticEstimate(

@@ -54,7 +54,8 @@ def theta_roots(t, barred: bool):
     overflows) Phi' is 0.0 and Theta 0.0 or nan, which counts as below t; a
     bracket that shrinks onto such an alpha means the root is not
     representable.  A bad ratio raises ValueError before any pass; a failed
-    search raises ConvergenceError naming its ratio and bracket.
+    search, or an iterate below alpha = 1e-12 (ratios from ~1e18), raises
+    ConvergenceError naming its ratio and bracket.
     """
     t = np.asarray(t, dtype=float).reshape(-1)
     bad = ~(np.isfinite(t) & (t > 0))
@@ -72,9 +73,8 @@ def theta_roots(t, barred: bool):
     for _ in range(MAX_ITER):
         if not i.size:
             return alpha, p_root, dp_root
-        if not (1e-12 <= x.min() and x.max() <= 1e6):
-            outside = np.flatnonzero((x < 1e-12) | (x > 1e6))[0]
-            raise failure("root for target ratio {!r} lies outside [1e-12, 1e6]", outside)
+        if x.min() < 1e-12:
+            raise failure("root for target ratio {!r} lies below alpha = 1e-12", x.argmin())
         # passes of at most MAX_STACK ratios bound the memory of a series block
         passes = [_phi_and_derivatives(x[j : j + MAX_STACK]) for j in range(0, x.size, MAX_STACK)]
         p, dp, ddp = np.concatenate(passes, axis=1)

@@ -4,10 +4,11 @@ Subcommands: count, coeffs, compare, rates, sample, llt.  Numeric output is
 CSV (12 significant digits; compare's log_ratio to 10 decimal places, the
 accuracy the calibration supports) or JSON with stable key order; exact
 counts are always printed as decimal strings.  The environment variable
-BIPART_CELL_BUDGET overrides the counting cell budget.  A refused input, an
-exceeded budget or an --output that cannot be opened prints one
-``error: ...`` line on stderr and exits with status 1; argparse usage errors
-exit with status 2.
+BIPART_CELL_BUDGET overrides the counting cell budget; a fixed work budget
+(exact_count.WORK_BUDGET) refuses a table whose recurrence would take more
+than ~25 s.  A refused input, an exceeded budget or an --output that cannot
+be opened prints one ``error: ...`` line on stderr and exits with status 1;
+argparse usage errors exit with status 2.
 """
 
 from __future__ import annotations
@@ -165,8 +166,7 @@ def cmd_sample(args, out: IO[str]) -> None:
 
 def cmd_llt(args, out: IO[str]) -> None:
     part_set = PartSet(args.parts)
-    report = llt_check(Target(args.n1, args.n2), part_set)
-    out.write(report.to_json() + "\n")
+    out.write(json.dumps(llt_check(Target(args.n1, args.n2), part_set)) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:

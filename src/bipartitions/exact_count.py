@@ -45,10 +45,15 @@ class Target:
 
 
 DEFAULT_CELL_BUDGET = 1 << 26
+# The recurrence makes about m^2 M row-cell additions (m = min(n1, n2),
+# M = max(n1, n2)), and the nonzero set's pentagonal P_0 about M^(3/2) more;
+# the largest tables this admits, such as nonzero (0, 215443) or (464, 464),
+# take ~25 s on a 2-core VM.
+WORK_BUDGET = 10**8
 
 
 class CellBudgetError(ValueError):
-    """Raised when a requested table would exceed the cell budget."""
+    """Raised when a requested table would exceed the cell or work budget."""
 
 
 @dataclass(frozen=True)
@@ -107,7 +112,8 @@ def count_table(part_set: PartSet, n1: int, n2: int) -> CountTable:
     most 72 rows); larger d, where a/d is small, sum u_d afresh.  The cost
     grows like n1^2 n2 additions, so a thin table with n1 > n2 is built as the
     (n2, n1) table and transposed: both part sets are symmetric under
-    (x1, x2) -> (x2, x1).
+    (x1, x2) -> (x2, x1).  A table past the cell budget (BIPART_CELL_BUDGET
+    overrides it) or WORK_BUDGET raises CellBudgetError before its first row.
     """
     if n1 < 0 or n2 < 0:
         raise ValueError("table bounds must be non-negative")
@@ -117,7 +123,14 @@ def count_table(part_set: PartSet, n1: int, n2: int) -> CountTable:
         raise CellBudgetError(
             f"table of {cells} cells exceeds the cell budget {budget}"
         )
-    rows = _count_rows(part_set, min(n1, n2), max(n1, n2))
+    m, big = min(n1, n2), max(n1, n2)
+    work = m * m * big + (big**1.5 if part_set is PartSet.NONZERO_VECTORS else 0)
+    if work > WORK_BUDGET:
+        raise CellBudgetError(
+            f"table of {n1} x {n2} needs ~{work:.3g} row-cell additions, "
+            f"above the work budget {WORK_BUDGET}"
+        )
+    rows = _count_rows(part_set, m, big)
     counts = tuple(zip(*rows)) if n1 > n2 else tuple(map(tuple, rows))
     return CountTable(part_set, n1, n2, counts)
 

@@ -14,17 +14,16 @@ cuts), and the normalized local-limit ratio against exact counts.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .asymptotics import _log_z_sums, gibbs_covariance
 from .calibration import ShapeParams, calibrate
 from .exact_count import CountTable, PartSet, Target, count_table
-from .special_functions import DEFAULT_TOL, _check_tol, _geometric, _series
+from .special_functions import _geometric, _series
 
 # replicas per random stream; a chunk holds ~CHUNK_REPLICAS * log Z pairs at
 # once, so a larger chunk saves little time and costs memory
@@ -193,7 +192,7 @@ def char_fn(params: ShapeParams, part_set: PartSet, t: tuple[float, float]) -> c
             majorant += 2.0 * (ga + gb) / r
         return np.stack([term, majorant])
 
-    log_phi = _series(block, min(a, b) if nonzero else a + b, 0.0, DEFAULT_TOL)[0][0]
+    log_phi = _series(block, min(a, b) if nonzero else a + b, 0.0)[0][0]
     return complex(np.exp(log_phi))
 
 
@@ -238,7 +237,8 @@ def _reach(rate: float) -> int:
 def _lattice_rates(params: ShapeParams, tol: float) -> tuple[float, float]:
     """The rates (a, b) with a >= b, rows running along a, once tol is valid
     and the cells before the first row and column cuts fit under the cap."""
-    _check_tol(tol)
+    if not (0 < tol <= 1e-6):
+        raise ValueError(f"tolerance must lie in (0, 1e-6], got {tol!r}")
     a, b = max(params.alpha, params.beta), min(params.alpha, params.beta)
     _check_cells(_reach(a) * _reach(b), a, b)
     return a, b
@@ -334,50 +334,16 @@ def _lyapunov_lattice(params: ShapeParams, part_set: PartSet, gamma, tol: float 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LLTReport:
-    target: Target
-    part_set: PartSet
-    params: ShapeParams
-    gamma: tuple
-    det_gamma: float
-    sigma_sq: float
-    lyapunov_bound: float
-    ellipse_radius: float
-    p_exact: int
-    gaussian_pred: float
-    normalized_ratio: float
-    extras: dict = field(default_factory=dict)
+def llt_check(target: Target, part_set: PartSet, table: CountTable | None = None) -> dict:
+    """The report that `bipart llt` prints: the normalized local-limit ratio
+    2 pi sqrt(det Gamma) P(N = n) at n, with what it rests on.
 
-    def to_json(self) -> str:
-        payload = {
-            "n1": self.target.n1,
-            "n2": self.target.n2,
-            "part_set": self.part_set.value,
-            "alpha": self.params.alpha,
-            "beta": self.params.beta,
-            "det_gamma": self.det_gamma,
-            "sigma_sq": self.sigma_sq,
-            "lyapunov": self.lyapunov_bound,
-            "p_exact_decimal_string": str(self.p_exact),
-            "normalized_ratio": self.normalized_ratio,
-            "gamma": [list(row) for row in self.gamma],
-            "ellipse_radius": self.ellipse_radius,
-            "gaussian_pred": self.gaussian_pred,
-            "extras": self.extras,
-        }
-        return json.dumps(payload)
-
-
-def llt_check(
-    target: Target, part_set: PartSet, table: CountTable | None = None
-) -> LLTReport:
-    """Normalized local-limit ratio 2 pi sqrt(det Gamma) P(N = n) at n.
-
-    P(N = n) comes from the exact count and log Z; the Gaussian prediction
-    includes the mean-offset factor exp(-||Gamma^{-1/2}(n - E N)||^2 / 2).
-    Gamma, log Z and E N come from one log-Z pass, which the Lyapunov bound
-    shares.
+    P(N = n) comes from the exact count (its decimal string) and log Z; the
+    Gaussian prediction includes the mean-offset factor
+    exp(-||Gamma^{-1/2}(n - E N)||^2 / 2).  Gamma, log Z and E N come from one
+    log-Z pass, which the Lyapunov bound shares.  The keys keep the order in
+    which `bipart llt` prints them; "extras" holds the mean offset, log Z and
+    the Lyapunov lattice's cells and tail bound.
     """
     if table is None:
         table = count_table(part_set, target.n1, target.n2)
@@ -389,42 +355,30 @@ def llt_check(
         raise ValueError("provided count table does not cover the target")
     p_exact = table.get(target.n1, target.n2)
 
-    cal = calibrate(target, part_set)
-    params = cal.params
+    params = calibrate(target, part_set).params
     log_z, mean1, mean2, caa, cab, cbb = _log_z_sums(params, part_set)
     gamma = np.array([[caa, cab], [cab, cbb]])
     det_gamma = float(np.linalg.det(gamma))
-    eigvals = np.linalg.eigvalsh(gamma)
-    sigma_sq = float(eigvals[0])
     lyap, cells, tail_bound = _lyapunov_lattice(params, part_set, gamma)
-    ellipse_radius = 1.0 / (4.0 * lyap)
-
-    log_p_n = (
-        math.log(p_exact)
-        - (params.alpha * target.n1 + params.beta * target.n2)
-        - log_z
-    )
-    normalized_ratio = math.exp(
-        math.log(2.0 * math.pi) + 0.5 * math.log(det_gamma) + log_p_n
-    )
-
+    log_p_n = math.log(p_exact) - (params.alpha * target.n1 + params.beta * target.n2) - log_z
     offset = _inv_sqrt(gamma) @ np.array([target.n1 - mean1, target.n2 - mean2])
-    gaussian_pred = math.exp(-0.5 * float(offset @ offset)) / (
-        2.0 * math.pi * math.sqrt(det_gamma)
-    )
-
-    return LLTReport(
-        target=target,
-        part_set=part_set,
-        params=params,
-        gamma=tuple(map(tuple, gamma)),
-        det_gamma=det_gamma,
-        sigma_sq=sigma_sq,
-        lyapunov_bound=lyap,
-        ellipse_radius=ellipse_radius,
-        p_exact=p_exact,
-        gaussian_pred=gaussian_pred,
-        normalized_ratio=normalized_ratio,
-        extras={"mean_offset_sq": float(offset @ offset), "log_z": log_z,
-                "lyapunov_cells": cells, "lyapunov_tail_bound": tail_bound},
-    )
+    offset_sq = float(offset @ offset)
+    return {
+        "n1": target.n1,
+        "n2": target.n2,
+        "part_set": part_set.value,
+        "alpha": params.alpha,
+        "beta": params.beta,
+        "det_gamma": det_gamma,
+        "sigma_sq": float(np.linalg.eigvalsh(gamma)[0]),
+        "lyapunov": lyap,
+        "p_exact_decimal_string": str(p_exact),
+        "normalized_ratio": math.exp(
+            math.log(2.0 * math.pi) + 0.5 * math.log(det_gamma) + log_p_n
+        ),
+        "gamma": gamma.tolist(),
+        "ellipse_radius": 1.0 / (4.0 * lyap),
+        "gaussian_pred": math.exp(-0.5 * offset_sq) / (2.0 * math.pi * math.sqrt(det_gamma)),
+        "extras": {"mean_offset_sq": offset_sq, "log_z": log_z,
+                   "lyapunov_cells": cells, "lyapunov_tail_bound": tail_bound},
+    }

@@ -3,14 +3,14 @@ sums D_alpha(s), the squared-divisor function, and exact zeta values at
 non-positive integers via Bernoulli numbers.
 
 Every infinite r-series of the package is summed by one numpy-blocked kernel,
-:func:`_series`, whose tail bound is below the absolute tolerance; as every
-geometric factor comes from expm1, results are within tol plus rounding of a
-few eps * |value|, also at small alpha, and relative to the first term for
-the Dirichlet-type sums beyond alpha = log 2.  Below alpha = 1/2, where the
-series would need ~35/alpha terms, Phi = D_alpha(2) and Psi = D_alpha(1)
-come from closed forms with stated remainder bounds instead.  Derivatives
-always come from the differentiated series or closed form, never from finite
-differences.
+:func:`_series`, whose tail bound is below the absolute tolerance DEFAULT_TOL;
+as every geometric factor comes from expm1, results are within DEFAULT_TOL
+plus rounding of a few eps * |value|, also at small alpha, and relative to
+the first term for the Dirichlet-type sums beyond alpha = log 2.  Below
+alpha = 1/2, where the series would need ~35/alpha terms, Phi = D_alpha(2)
+and Psi = D_alpha(1) come from closed forms with stated remainder bounds
+instead.  Derivatives always come from the differentiated series or closed
+form, never from finite differences.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ ZETA2 = math.pi**2 / 6
 DEFAULT_TOL = 1e-12
 
 # a block's cost is mostly per-call overhead, so the first block holds the
-# ~60 terms that alpha >= 0.5 needs at tol = 1e-12; later blocks double up to
+# ~60 terms that alpha >= 0.5 needs at DEFAULT_TOL; later blocks double up to
 # caps on the terms per series and on the cells (terms x series) of a block,
 # which bound its memory however many series are stacked
 _FIRST_BLOCK = 64
@@ -67,11 +67,6 @@ def _check_alpha(alpha) -> None:
         raise ValueError(f"alpha must be a finite positive real, got {alpha!r}")
 
 
-def _check_tol(tol: float) -> None:
-    if not (0 < tol <= 1e-6):
-        raise ValueError(f"tolerance must lie in (0, 1e-6], got {tol!r}")
-
-
 def _geometric(x):
     """(G0, G1, G2) at x > 0: G0 = 1/(e^x - 1) = sum_{k>=1} e^{-kx}, G1 = -G0',
     G2 = -G1'; expm1 keeps them accurate as x -> 0 and lets them reach 0.
@@ -82,7 +77,7 @@ def _geometric(x):
     return g0, g1, g1 * (1.0 + 2.0 * g0)
 
 
-def _series(block, decay: float, growth: float, tol: float):
+def _series(block, decay: float, growth: float):
     """Sum block(r) over r = 1, 2, ... in numpy blocks of r; returns
     (value, terms, tail_bound), value holding one sum per stacked series.
 
@@ -91,8 +86,8 @@ def _series(block, decay: float, growth: float, tol: float):
     |t(r+1)| <= q_r |t(r)| with q_r = e^{-decay} ((r+1)/r)^growth, growth >= 0.
     q_r falls with r, so once q_r < 1 the tail after r is at most
     |t(r)| q_r / (1 - q_r); the sum stops at the first r where that is below
-    tol for every series: absolute in the terms' units, so relative to u for
-    a series scaled by 1/u.  Summands that do not shrink regularly are
+    DEFAULT_TOL for every series: absolute in the terms' units, so relative to
+    u for a series scaled by 1/u.  Summands that do not shrink regularly are
     certified by stacking a real majorant that does.
     """
     parts = []
@@ -104,7 +99,7 @@ def _series(block, decay: float, growth: float, tol: float):
         largest = np.abs(terms).max(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
             tails = np.where(q < 1.0, largest * q / (1.0 - q), np.inf)
-        done = np.flatnonzero(tails < tol)
+        done = np.flatnonzero(tails < DEFAULT_TOL)
         stop = int(done[0]) + 1 if done.size else size
         parts.append(terms[:, :stop].sum(axis=1))
         if done.size:
@@ -160,26 +155,25 @@ def _closed_form_bound(a: np.ndarray, s: float, order: int) -> np.ndarray:
     return np.where(a < _CLOSED_FORM_ALPHA, bound.max(axis=0), np.inf)
 
 
-def _dirichlet_series(alpha, s: float, order: int, tol: float):
+def _dirichlet_series(alpha, s: float, order: int):
     """The kernel's (value, terms, tail_bound) for value[k] = D^(k)(alpha)
     = (-1)^k sum_r r^{k-s} G_k(alpha r), k = 0..order, in one pass.
 
     alpha is a float or a 1-D array (value[k] then lists one sum per alpha).
     Each alpha's rows are summed in units of u = min(1, G0(alpha)) > 0, in
-    which tail_bound is stated: error < tol * u.  An alpha whose closed-form
-    bound is at most tol * u (u = 1 there) takes the closed form; the others
-    are summed over r, with min(alpha) of those bounding every ratio.  terms
-    and tail_bound are the larger of the residue count and the r-sum's terms,
-    and of the two bounds.  A closed form that overflows raises ValueError
-    naming its alpha.
+    which tail_bound is stated: error < DEFAULT_TOL * u.  An alpha whose
+    closed-form bound is at most DEFAULT_TOL * u (u = 1 there) takes the
+    closed form; the others are summed over r, with min(alpha) of those
+    bounding every ratio.  terms and tail_bound are the larger of the residue
+    count and the r-sum's terms, and of the two bounds.  A closed form that
+    overflows raises ValueError naming its alpha.
     """
     _check_alpha(alpha)
-    _check_tol(tol)
     a = np.asarray(alpha, dtype=float)
     flat = a.reshape(-1)
     unit = np.maximum(np.minimum(np.exp(-flat) / -np.expm1(-flat), 1.0), _TINY)  # G0, no overflow
     bound = _closed_form_bound(flat, s, order)
-    closed = bound <= tol * unit
+    closed = bound <= DEFAULT_TOL * unit
     direct = ~closed
     value = np.empty((order + 1, flat.size))
     terms, tail = 0, 0.0
@@ -202,7 +196,7 @@ def _dirichlet_series(alpha, s: float, order: int, tol: float):
             g /= unit_col
             return g
 
-        sums, direct_terms, direct_tail = _series(block, a_col.min(), max(0.0, order - s), tol)
+        sums, direct_terms, direct_tail = _series(block, a_col.min(), max(0.0, order - s))
         value[:, direct] = np.reshape(sums, (order + 1, -1)) * unit[direct]
         terms, tail = max(terms, direct_terms), max(tail, direct_tail)
     return value.reshape((order + 1,) + a.shape).tolist(), terms, tail
@@ -210,12 +204,12 @@ def _dirichlet_series(alpha, s: float, order: int, tol: float):
 
 def _phi_and_derivatives(alpha):
     """[Phi, Phi', Phi''] from one pass over r (lists for an array of alpha)."""
-    return _dirichlet_series(alpha, 2.0, 2, DEFAULT_TOL)[0]
+    return _dirichlet_series(alpha, 2.0, 2)[0]
 
 
 def dirichlet(alpha: float, s: float) -> float:
     """D_alpha(s) = sum_{r>=1} r^{-s} e^{-alpha r} / (1 - e^{-alpha r})."""
-    return _dirichlet_series(alpha, s, 0, DEFAULT_TOL)[0][0]
+    return _dirichlet_series(alpha, s, 0)[0][0]
 
 
 def phi(alpha: float) -> float:

@@ -215,7 +215,7 @@ def test_criterion_6_llt_normalized_ratio(capsys, grid_tables):
             rep = llt_check(
                 Target(n1, n2), part_set, table=grid_tables[(part_set, n2)]
             )
-            ratios.append(rep.normalized_ratio)
+            ratios.append(rep["normalized_ratio"])
         final = ratios[-1]
         if not (0.5 <= final <= 2.0):
             failures.append(f"{part_set.value}: ratio at (30,900) = {final}")

@@ -17,7 +17,7 @@ from bipartitions.asymptotics import (
     rate_table,
     theorem_estimate,
 )
-from bipartitions.calibration import ShapeParams
+from bipartitions.calibration import ShapeParams, calibrate
 from bipartitions.exact_count import PartSet, Target, count_table
 from bipartitions.formal_series import corollary2_coeffs, corollary3_coeffs
 from bipartitions.special_functions import ZETA2, dirichlet, phi, psi
@@ -164,6 +164,17 @@ class TestTheoremEstimate:
         assert abs(math.log(exact) - est.log_value) < 0.1
         assert est.log_value == pytest.approx(
             est.exponent + est.log_prefactor, rel=1e-14
+        )
+
+    @pytest.mark.parametrize("part_set", list(PartSet))
+    @pytest.mark.parametrize("n1, n2", [(10, 100), (20, 400), (60, 3600), (3, 900), (100, 400)])
+    def test_exponent_is_calibrated(self, part_set, n1, n2):
+        # (alpha t + 2 sqrt(P)) sqrt(n2) = alpha n1 + 2 beta n2 at the
+        # calibration's own (alpha, beta); a second Phi pass drifts by ~1e-13
+        params = calibrate(Target(n1, n2), part_set).params
+        exponent = theorem_estimate(Target(n1, n2), part_set).exponent
+        assert exponent == pytest.approx(
+            params.alpha * n1 + 2.0 * params.beta * n2, rel=1e-15, abs=0.0
         )
 
 

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from bipartitions import cli, gibbs
+from bipartitions import cli, exact_count, gibbs
 from bipartitions.asymptotics import theorem_estimate
 from bipartitions.cli import main
 from bipartitions.exact_count import PartSet, Target, count_table
+from bipartitions.gibbs import llt_check
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
 
@@ -55,6 +56,18 @@ class TestCount:
         code, out, err = run(capsys, "count", "--n1", "9", "--n2", "9", "--parts", "strict")
         assert code == 1 and out == ""
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "n1, n2, parts", [(3000, 3000, "strict"), (0, 10**7, "nonzero")]
+    )
+    def test_work_budget_error(self, capsys, n1, n2, parts):
+        # both fit the cell budget; refused before the first row
+        assert (n1 + 1) * (n2 + 1) <= exact_count.DEFAULT_CELL_BUDGET
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", "--n1", str(n1), "--n2", str(n2), "--parts", parts)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "work budget" in err and err.count("\n") == 1
 
     def test_unwritable_output_is_reported(self, capsys, tmp_path):
         path = tmp_path / "missing" / "count.txt"
@@ -153,6 +166,14 @@ class TestRates:
         )
         assert code == 1
         assert err.startswith("error: target ratio 1e-300 is too small")
+
+    def test_root_below_alpha_floor_is_reported(self, capsys):
+        # Theta(1e-12) ~ 1e18: larger ratios would need a smaller alpha
+        code, out, err = run(
+            capsys, "rates", "--t-min", "1e20", "--t-max", "1e20", "--steps", "1"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "1e+20" in err and err.count("\n") == 1
 
     def test_unrepresentable_ratio_prints_no_rows(self, capsys):
         code, out, err = run(
@@ -321,6 +342,12 @@ class TestLLT:
         # the Lyapunov bound's default tol is 1e-10
         assert extras["lyapunov_cells"] > 0
         assert 0.0 <= extras["lyapunov_tail_bound"] <= 1e-10 * payload["lyapunov"]
+
+    @pytest.mark.parametrize("parts", ["strict", "nonzero"])
+    def test_stdout_is_the_report(self, capsys, parts):
+        code, out, _ = run(capsys, "llt", "--n1", "8", "--n2", "64", "--parts", parts)
+        assert code == 0
+        assert out == json.dumps(llt_check(Target(8, 64), PartSet(parts))) + "\n"
 
 
 class TestParser:

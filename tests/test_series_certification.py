@@ -154,14 +154,14 @@ def test_phi_family_against_mpmath(alpha):
 @pytest.mark.parametrize("alpha", ALPHAS + [1e-5, 1e-8])
 def test_kernel_tail_bound_below_tol(alpha):
     for s in (2.0, 1.0):
-        _, terms, tail = _dirichlet_series(alpha, s, 2, DEFAULT_TOL)
+        _, terms, tail = _dirichlet_series(alpha, s, 2)
         assert terms >= 1 and 0.0 <= tail < DEFAULT_TOL
 
 
 def family(alpha: float) -> tuple[list[float], list[float]]:
     """[D, D', D''] for s = 2 and s = 1, and the two tail bounds."""
-    phi3, _, phi_tail = _dirichlet_series(alpha, 2.0, 2, DEFAULT_TOL)
-    psi3, _, psi_tail = _dirichlet_series(alpha, 1.0, 2, DEFAULT_TOL)
+    phi3, _, phi_tail = _dirichlet_series(alpha, 2.0, 2)
+    psi3, _, psi_tail = _dirichlet_series(alpha, 1.0, 2)
     return phi3 + psi3, [phi_tail] * 3 + [psi_tail] * 3
 
 
@@ -186,11 +186,13 @@ def test_small_alpha_against_residue_series(alpha):
 
 def test_closed_form_matches_direct_sum(monkeypatch):
     alphas = np.geomspace(0.02, np.nextafter(special_functions._CLOSED_FORM_ALPHA, 0.0), 9)
-    closed = [_dirichlet_series(alphas, s, 2, DEFAULT_TOL) for s in (2.0, 1.0)]
+    closed = [_dirichlet_series(alphas, s, 2) for s in (2.0, 1.0)]
     assert all(terms <= 10 for _, terms, _ in closed)
+    # the reference sums every row over r, to a tail below 1e-16
     monkeypatch.setattr(special_functions, "_CLOSED_FORM_ALPHA", 0.0)
+    monkeypatch.setattr(special_functions, "DEFAULT_TOL", 1e-16)
     for s, (value, _, _) in zip((2.0, 1.0), closed):
-        direct = _dirichlet_series(alphas, s, 2, 1e-16)[0]
+        direct = _dirichlet_series(alphas, s, 2)[0]
         np.testing.assert_allclose(value, direct, rtol=1e-13, atol=0.0)
 
 

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipartitions import special_functions
+from bipartitions.calibration import ShapeParams
+from bipartitions.exact_count import PartSet
+from bipartitions.gibbs import lyapunov_bound
 from bipartitions.special_functions import (
-    _dirichlet_series,
     _phi_and_derivatives,
     bernoulli,
     delta,
@@ -106,8 +108,10 @@ class TestValidation:
 
     @pytest.mark.parametrize("bad", [0.0, -1e-9, 1e-3])
     def test_tolerance_domain(self, bad):
-        with pytest.raises(ValueError):
-            _dirichlet_series(1.0, 2.0, 0, bad)
+        # the series kernel has one tolerance, DEFAULT_TOL; the Lyapunov
+        # bound's tol is the one a caller sets
+        with pytest.raises(ValueError, match="^tolerance must lie in"):
+            lyapunov_bound(ShapeParams(0.8, 0.2), PartSet.STRICT_POSITIVE, tol=bad)
 
     def test_series_term_cap_is_reported(self, monkeypatch):
         # s = 3 is summed directly, and alpha = 1e-6 needs far more terms
