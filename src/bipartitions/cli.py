@@ -6,7 +6,8 @@ accuracy the calibration supports) or JSON with stable key order; exact
 counts are always printed as decimal strings.  The environment variable
 BIPART_CELL_BUDGET overrides the counting cell budget; a fixed work budget
 (exact_count.WORK_BUDGET) refuses a table whose recurrence would take more
-than ~25 s.  A refused input, an exceeded budget or an --output that cannot
+than ~25 s, and `sample` refuses more than MAX_SAMPLE_PAIRS expected pairs
+(reps x log Z).  A refused input, an exceeded budget or an --output that cannot
 be opened prints one ``error: ...`` line on stderr and exits with status 1;
 argparse usage errors exit with status 2.
 """
@@ -26,6 +27,11 @@ from .calibration import calibrate
 from .exact_count import PartSet, Target, count_table
 from .formal_series import corollary2_coeffs, corollary3_coeffs
 from .gibbs import SamplerSpec, llt_check, pair_rates, samples
+
+
+# Most pairs (r, part) that `bipart sample` may expect to draw: each costs
+# ~110 bytes while the output is built and ~4 us on a 2-core VM.
+MAX_SAMPLE_PAIRS = 10**6
 
 
 def _fmt(x: float) -> str:
@@ -142,6 +148,10 @@ def cmd_sample(args, out: IO[str]) -> None:
     cal = calibrate(Target(args.n1, args.n2), part_set)
     spec = SamplerSpec(cal.params, part_set, args.tv_budget, args.seed)
     rates, tail_bound = pair_rates(spec)
+    log_z = float(rates.sum())  # the pairs a replica expects, each held as a JSON triple
+    if args.reps * log_z > MAX_SAMPLE_PAIRS:
+        msg = f"--reps {args.reps} at log Z = {log_z:.6g} expects {args.reps * log_z:.3g}"
+        raise ValueError(f"{msg} pairs, above {MAX_SAMPLE_PAIRS}")
     draws = [
         {"replica": i, "N": list(drawn.N), "multiplicities": [
             [x1, x2, m] for (x1, x2), m in sorted(drawn.multiplicities.items())

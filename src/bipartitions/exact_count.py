@@ -11,6 +11,7 @@ truth.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -50,6 +51,10 @@ DEFAULT_CELL_BUDGET = 1 << 26
 # the largest tables this admits, such as nonzero (0, 215443) or (464, 464),
 # take ~25 s on a 2-core VM.
 WORK_BUDGET = 10**8
+# Bytes the rows of a table may hold at once, by `_table_bytes`.  The estimate
+# read 1.4x (nonzero (0, 100000)) to 3.0x (strict (8, 120000)) the growth of
+# peak RSS measured on a 2-core VM, so a table it admits stays below ~0.8 GB.
+MEMORY_BUDGET = 1 << 30
 
 
 class CellBudgetError(ValueError):
@@ -113,7 +118,8 @@ def count_table(part_set: PartSet, n1: int, n2: int) -> CountTable:
     grows like n1^2 n2 additions, so a thin table with n1 > n2 is built as the
     (n2, n1) table and transposed: both part sets are symmetric under
     (x1, x2) -> (x2, x1).  A table past the cell budget (BIPART_CELL_BUDGET
-    overrides it) or WORK_BUDGET raises CellBudgetError before its first row.
+    overrides it), WORK_BUDGET or MEMORY_BUDGET raises CellBudgetError before
+    its first row.
     """
     if n1 < 0 or n2 < 0:
         raise ValueError("table bounds must be non-negative")
@@ -130,6 +136,12 @@ def count_table(part_set: PartSet, n1: int, n2: int) -> CountTable:
             f"table of {n1} x {n2} needs ~{work:.3g} row-cell additions, "
             f"above the work budget {WORK_BUDGET}"
         )
+    held = _table_bytes(part_set, m, big)
+    if held > MEMORY_BUDGET:
+        raise CellBudgetError(
+            f"table of {n1} x {n2} may hold ~{held:.3g} bytes at once, "
+            f"above the memory budget {MEMORY_BUDGET}"
+        )
     rows = _count_rows(part_set, m, big)
     counts = tuple(zip(*rows)) if n1 > n2 else tuple(map(tuple, rows))
     return CountTable(part_set, n1, n2, counts)
@@ -138,6 +150,24 @@ def count_table(part_set: PartSet, n1: int, n2: int) -> CountTable:
 # Largest d whose u_d is carried across rows; the carried state is at most
 # 2 * (1 + 2 + ... + 8) = 72 rows.
 TELESCOPE_MAX_D = 8
+
+
+def _table_bytes(part_set: PartSet, m: int, big: int) -> float:
+    """Estimated bytes held at once by `_count_rows(part_set, m, big)`: its
+    m + 1 rows and at most 2 sum_{d <= 8} min(d, m - d) carried u_d and V_d
+    rows, each of big + 1 cells of two 8-byte pointers (the row's, and the
+    finished table's or the 1-D partition list's) and an int of 24 bytes plus
+    4 per 30 bits.  The bits are those of p(m) (big + 1)^m, times p(big)
+    for the nonzero set, with p(n) < e^{pi sqrt(2n/3)}: the first coordinates
+    of the parts partition m, each part's second one is at most big, and the
+    nonzero set's axis parts (0, x2) partition what is left of big.
+    """
+    carried = 2 * sum(min(d, m - d) for d in range(1, min(m, TELESCOPE_MAX_D) + 1))
+    log_count = math.pi * math.sqrt(2 * m / 3) + m * math.log(big + 1)
+    if part_set is PartSet.NONZERO_VECTORS:
+        log_count += math.pi * math.sqrt(2 * big / 3)
+    digits = math.ceil(log_count / math.log(2) / 30) or 1
+    return (m + 1 + carried) * (big + 1) * (16 + 24 + 4 * digits)
 
 
 def _count_rows(part_set: PartSet, n1: int, n2: int) -> list[np.ndarray]:

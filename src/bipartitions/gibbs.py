@@ -6,14 +6,15 @@ of its part (Flajolet, Fusy and Pivoteau 2007), with r cut where a certified
 tail bounds the total-variation distance.  Replicas come in chunks, one
 random stream per chunk.  The diagnostics side evaluates the characteristic
 function of N, an upper bound on the scale-free Lyapunov ratio over a
-direction grid (one pass over the rows of the part lattice, each row summed
-for every direction from its suffix moments, with certified row and column
-cuts), and the normalized local-limit ratio against exact counts.
+direction grid (a sum over one region alpha x1 + beta x2 <= K of the part
+lattice, walked in blocks of row segments that are summed for every
+direction at once from their suffix moments, plus a closed-form bound on the
+parts outside the region), and the normalized local-limit ratio against
+exact counts.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -221,27 +222,86 @@ def _inv_sqrt(matrix: np.ndarray) -> np.ndarray:
 
 N_DIRECTIONS = 360  # directions on the half circle; must stay even (see lyapunov_bound)
 MAX_LATTICE_CELLS = 1 << 22  # most lattice cells the Lyapunov bound may sum
+# Cells summed at once.  A block holds about a dozen floats per cell and a few
+# times 360 per row segment; rows lengthen by at least a cell per step away
+# from the tip of the region, so a block has few segments (at most 64 in the
+# tests, under 1 MB).
+BLOCK_CELLS = 1 << 11
+FIRST_K = 8.0  # edge of the first region, whose sum picks the final edge K
 
 
-def _check_cells(cells: int, a: float, b: float) -> None:
+def _check_cells(k: float, a: float, b: float) -> None:
+    """Refuse the region a x1 + b x2 <= k if it may hold more cells than the
+    cap: row x1 of it holds at most (k - a x1)/b + 1 cells."""
+    rows = math.floor(k / a) + 1
+    cells = rows * (k / b + 1.0) - a / b * rows * (rows - 1) / 2
     if cells > MAX_LATTICE_CELLS:
-        msg = f"the Lyapunov lattice at (alpha, beta) = ({a!r}, {b!r}) would take {cells} cells"
-        raise ValueError(f"{msg}, above the cap of {MAX_LATTICE_CELLS}")
-
-
-def _reach(rate: float) -> int:
-    """First x with ((x + 1) / x)^3 e^{-rate} < 1, where a ratio bound starts."""
-    return math.floor(1.0 / math.expm1(min(rate, 2000.0) / 3.0)) + 1
+        msg = f"the Lyapunov lattice at (alpha, beta) = ({a!r}, {b!r}) may take"
+        raise ValueError(f"{msg} {cells:.0f} cells, above the cap of {MAX_LATTICE_CELLS}")
 
 
 def _lattice_rates(params: ShapeParams, tol: float) -> tuple[float, float]:
     """The rates (a, b) with a >= b, rows running along a, once tol is valid
-    and the cells before the first row and column cuts fit under the cap."""
+    and the first region a x1 + b x2 <= FIRST_K fits under the cap."""
     if not (0 < tol <= 1e-6):
         raise ValueError(f"tolerance must lie in (0, 1e-6], got {tol!r}")
     a, b = max(params.alpha, params.beta), min(params.alpha, params.beta)
-    _check_cells(_reach(a) * _reach(b), a, b)
+    _check_cells(FIRST_K, a, b)
     return a, b
+
+
+def _upper_gammas(n: int, k: float) -> list[float]:
+    """Gamma(i + 1, k) = int_k^inf y^i e^{-y} dy = i! e^{-k} sum_{j <= i} k^j / j!
+    for i = 0..n, from one pass over the partial sums."""
+    e = math.exp(-k)
+    term = partial = factorial = 1.0  # k^i / i!, sum_{j <= i} k^j / j!, i!
+    values = [e]
+    for i in range(1, n + 1):
+        term *= k / i
+        partial += term
+        factorial *= i
+        values.append(factorial * e * partial)
+    return values
+
+
+def _tail_bound(k: float, a: float, b: float, c: float) -> float:
+    """T(k) = 3c^3/(1 - e^{-k})^3 int_k^inf (y/a + 1)(y/b + 1)(y^3 - 3y^2) e^{-y} dy,
+    for k >= 3 a bound on sum |t.x|^3 w over the parts with y = a x1 + b x2 > k,
+    for every t with |t.x| <= c y.
+
+    There w <= 3 e^{-y}/(1 - e^{-k})^3, so the sum is at most that factor
+    times the Stieltjes integral of f(y) = y^3 e^{-y} against the count N(y)
+    of parts with a x1 + b x2 <= y.  f falls for y > 3, so integrating by
+    parts with N(y) <= (y/a + 1)(y/b + 1) and -f' = (y^3 - 3y^2) e^{-y} gives
+    T.  The integrand is a degree-5 polynomial times e^{-y}: a sum of
+    incomplete gamma functions.
+    """
+    s, p = 1.0 / (a * b), 1.0 / a + 1.0 / b
+    # (s y^2 + p y + 1)(y^3 - 3y^2) = s y^5 + (p - 3s) y^4 + (1 - 3p) y^3 - 3y^2
+    g = _upper_gammas(5, k)
+    integral = s * g[5] + (p - 3.0 * s) * g[4] + (1.0 - 3.0 * p) * g[3] - 3.0 * g[2]
+    return 3.0 * c**3 * integral / (-math.expm1(-k)) ** 3
+
+
+def _edge(target: float, a: float, b: float, c: float) -> float:
+    """The smallest integer k >= FIRST_K with T(k) <= target (T falls with k)."""
+    k = FIRST_K
+    while _tail_bound(k, a, b, c) > target:
+        k += 1.0
+    return k
+
+
+def _segments(a: float, b: float, nonzero: bool, lo: float, hi: float):
+    """The rows of {x in the part set : lo < a x1 + b x2 <= hi}, lo >= 0, as
+    arrays (x1, first x2, cells), each row cut into segments of at most
+    BLOCK_CELLS cells.  y > lo >= 0 leaves out (0, 0)."""
+    x1 = np.arange(0 if nonzero else 1, math.floor(hi / a) + 1)
+    start = np.maximum(np.floor((lo - a * x1) / b) + 1.0, 0 if nonzero else 1)
+    n = np.maximum(np.floor((hi - a * x1) / b) + 1.0 - start, 0.0).astype(np.int64)
+    pieces = -(-n // BLOCK_CELLS)
+    row = np.repeat(np.arange(n.size), pieces)
+    skip = BLOCK_CELLS * (np.arange(row.size) - np.repeat(np.cumsum(pieces) - pieces, pieces))
+    return x1[row], start[row] + skip, np.minimum(n[row] - skip, BLOCK_CELLS)
 
 
 def lyapunov_bound(params: ShapeParams, part_set: PartSet, tol: float = 1e-10) -> float:
@@ -250,19 +310,25 @@ def lyapunov_bound(params: ShapeParams, part_set: PartSet, tol: float = 1e-10) -
     w = 3q/(1-q)^3 with q = e^{-<lambda,x>} is the Cauchy-Schwarz bound on a
     part's third absolute moment.
 
-    One pass over the rows x1 of the part lattice: with c = t1 x1 and d = t2
-    (t negated where t2 < 0), a row's sum of |c + d x2|^3 w for every t comes
-    from its suffix moments sum_{x2 >= A} x2^p w, p <= 3, split at the root of
-    c + d x2.  Columns, then rows, are cut where a ratio bound on the dropped
-    cells falls below tol times the running total.  The bounds are added, so
-    the value is at least the full lattice sum (up to rounding) and at most
-    (1 + tol) times the kept one.  Rows run along the larger rate: for
-    alpha < beta the bound is taken at (beta, alpha).  The value is the same:
-    both part sets are symmetric under (x1, x2) -> (x2, x1), and the grid of
-    angles pi k / N_DIRECTIONS maps onto itself under theta -> pi/2 - theta
-    because N_DIRECTIONS is even, which it must stay.  A lattice past
-    MAX_LATTICE_CELLS raises ValueError before its first cell and before the
-    log-Z pass that gives Gamma.
+    With (a, b) = (alpha, beta), the sum runs over one region R_K = {x :
+    a x1 + b x2 <= K} and adds the closed-form bound T(K) on every part
+    outside it (`_tail_bound`).  The region is walked in blocks of whole row
+    segments, at most BLOCK_CELLS cells each: with c = t1 x1 and d = t2 (t
+    negated where t2 < 0), a segment's sum of |c + d x2|^3 w for every t
+    comes from its suffix moments sum_{x2 >= A} x1^{3-p} x2^p w, split at the
+    root of c + d x2.  A first region R_8 gives a lower bound L on the
+    maximum, and K is the smallest integer with T(K) <= tol/2 L; then the
+    cells of R_K outside R_8 are added.  So the value is at least the full
+    lattice sum (up to rounding) and at most (1 + tol/2) times it.  A
+    Holder bound on the maximum, known before any cell is summed, also
+    bounds L from below, and so K and the cells from above.  Rows run
+    along the larger rate: for alpha < beta the bound is taken at (beta,
+    alpha).  The value is the same: both part sets are symmetric under
+    (x1, x2) -> (x2, x1), and the grid of angles pi k / N_DIRECTIONS maps onto
+    itself under theta -> pi/2 - theta because N_DIRECTIONS is even, which it
+    must stay.  A lattice whose R_8 passes MAX_LATTICE_CELLS raises
+    ValueError before the log-Z pass that gives Gamma; one whose R_K may pass
+    it raises before its first cell.
     """
     _lattice_rates(params, tol)
     gamma = np.array(gibbs_covariance(params, part_set))
@@ -271,62 +337,71 @@ def lyapunov_bound(params: ShapeParams, part_set: PartSet, tol: float = 1e-10) -
 
 def _lyapunov_lattice(params: ShapeParams, part_set: PartSet, gamma, tol: float = 1e-10):
     """lyapunov_bound as (value, cells, tail_bound), the shape _series returns:
-    the cells summed and the bound on the dropped cells that value includes.
-    gamma is the covariance of N at params."""
+    the cells summed and the bound on the parts outside them that value
+    includes.  gamma is the covariance of N at params."""
     a, b = _lattice_rates(params, tol)
     if params.alpha < params.beta:
         gamma = gamma[::-1, ::-1]  # the covariance at (beta, alpha)
     angles = np.pi * np.arange(N_DIRECTIONS) / N_DIRECTIONS
     whiten = _inv_sqrt(gamma)
     t1, t2 = whiten @ np.stack([np.cos(angles), np.sin(angles)])
-    # |t.x| = |c1 x1 + d x2| with d >= 0, and |t.x| <= u x1 + v x2 for every t
+    # |t.x| = |c1 x1 + d x2| with d >= 0, and |t.x| <= c (a x1 + b x2) for every t
     c1, d = np.where(t2 < 0, -t1, t1), np.abs(t2)
-    u, v = float(np.abs(t1).max()), float(d.max())
-    j = int(d.argmax())  # the direction whose running sum is the running total
-    p = np.arange(4.0)[:, None]
-    binomial = np.array([[1.0], [3.0], [3.0], [1.0]])
+    c = max(float(np.abs(t1).max()) / a, float(d.max()) / b)
+    coef = np.stack([c1 * c1 * c1, 3.0 * c1 * c1 * d, 3.0 * c1 * d * d, d * d * d])
+    # c1 x1 + d x2 > 0 from x2 = floor(root x1) + 1 on; with d = 0 the sign is c1's
+    root = np.divide(-c1, d, out=-np.sign(c1) * 2.0**60, where=d > 0)
     nonzero = part_set is PartSet.NONZERO_VECTORS
-    sums, tail, cells, n = np.zeros(N_DIRECTIONS), 0.0, 0, _reach(b)
-    for x1 in itertools.count(0 if nonzero else 1):
-        lo = 0 if nonzero and x1 else 1
-        while True:
-            _check_cells(cells + n, a, b)
-            x2 = np.arange(lo, lo + n, dtype=float)
-            g0, g1, _ = _geometric(a * x1 + b * x2)
-            w = 3.0 * g1 * (1.0 + g0)
-            # the cells after column x2 shrink by `ratio` per step (once it is
-            # below 1), so they add up to at most `after`
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = ((x2 + 1.0) / x2) ** 3 * math.exp(-b)
-                after = (u * x1 + v * x2) ** 3 * w * ratio / np.maximum(1.0 - ratio, 0.0)
-            # row x1's share of the column budget; the shares add up to at most tol / 2
-            budget = 0.5 * tol / ((x1 + 1) * (x1 + 2))
-            running = sums[j] + np.cumsum(np.abs(c1[j] * x1 + d[j] * x2) ** 3 * w)
-            cut = np.flatnonzero(after <= budget * np.maximum(sums.max(), running))
-            if cut.size:
-                break
-            n *= 2
-        m = int(cut[0]) + 1
-        cells += m
-        tail += float(after[m - 1])
-        # suffix moments S_p[x2 - lo] = sum_{x2' >= x2} x2'^p w, zero past the cut
-        terms = np.pad(x2[:m] ** p * w[:m], ((0, 0), (0, 1)))
-        moments = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
-        coef = binomial * (c1 * x1) ** (3.0 - p) * d**p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            past = np.floor(-c1 * x1 / d) + 1.0 - lo  # first column with c1 x1 + d x2 > 0
-        positive = moments[:, np.clip(np.nan_to_num(past), 0, m).astype(np.intp)]
-        # |c + d x2|^3 summed: the part past the root minus the part before it
-        sums += 2.0 * np.einsum("pk,pk->k", coef, positive) - coef.T @ moments[:, 0]
-        ratio = ((x1 + 1.0) / x1) ** 3 * math.exp(-a) if x1 else math.inf
-        if ratio < 1.0:
-            # each later row is at most `ratio` times the one before it
-            row = (binomial * (u * x1) ** (3.0 - p) * v**p)[:, 0] @ moments[:, 0]
-            rest = float(row + after[m - 1]) * ratio / (1.0 - ratio)
-            if rest <= 0.5 * tol * sums.max():
-                tail += rest
-                return float(sums.max()) + tail, cells, tail
-        n = m
+    sums = np.zeros(N_DIRECTIONS)
+
+    def add(lo: float, hi: float) -> int:
+        """Add the cells with lo < a x1 + b x2 <= hi to sums; return their count."""
+        x1, start, n = _segments(a, b, nonzero, lo, hi)
+        total = np.zeros(n.size + 1, dtype=np.int64)
+        np.cumsum(n, out=total[1:])
+        i = 0
+        while i < n.size:
+            j = int(np.searchsorted(total, total[i] + BLOCK_CELLS, side="right")) - 1
+            off = total[i : j + 1] - total[i]
+            x1c = np.repeat(x1[i:j], n[i:j])
+            x2c = np.arange(off[-1]) + np.repeat(start[i:j] - off[:-1], n[i:j])
+            y = a * x1c + b * x2c
+            e = -np.expm1(-y)
+            # suffix moments S_p[k] = sum_{k' >= k} x1^{3-p} x2^p w over the block
+            terms = np.zeros((4, off[-1] + 1))
+            mono = terms[:, :-1]
+            mono[0] = 3.0 * np.exp(-y) / (e * e * e)
+            for p in (1, 2, 3):
+                mono[p] = mono[p - 1] * x2c
+            mono[:3] *= x1c
+            mono[:2] *= x1c
+            mono[0] *= x1c
+            suffix = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
+            # for every segment and t, the first cell past the root of c1 x1 + d x2
+            past = np.floor(root * x1[i:j, None]) + 1.0 - start[i:j, None]
+            split = (np.clip(past, 0.0, n[i:j, None]) + off[:-1, None]).astype(np.intp)
+            # sum over a segment of |.|^3 = 2 (part past the root) - (whole segment),
+            # each a difference of suffix moments; the segments fill the block
+            ends = suffix[:, off[1:]].sum(axis=1)
+            sums[:] += np.einsum(
+                "pk,pk->k",
+                coef,
+                2.0 * np.take(suffix, split, axis=1).sum(axis=1)
+                - (2.0 * ends + suffix[:, 0])[:, None],
+            )
+            i = j
+        return int(total[-1])
+
+    # Holder with sum_x (t.x)^2 q/(1-q)^2 = t.Gamma t = 1 gives
+    # sum_x |t.x|^3 w >= 3/sqrt(sum_x q) for every t, before any cell is summed
+    g0a, g0b = 1.0 / math.expm1(a), 1.0 / math.expm1(b)
+    holder = 3.0 / math.sqrt(g0a * g0b + (g0a + g0b if nonzero else 0.0))
+    _check_cells(_edge(0.5 * tol * holder, a, b, c), a, b)
+    cells = add(0.0, FIRST_K)
+    k = _edge(0.5 * tol * max(holder, float(sums.max())), a, b, c)
+    cells += add(FIRST_K, k)
+    tail = _tail_bound(k, a, b, c)
+    return float(sums.max()) + tail, cells, tail
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,17 @@ class TestCount:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "work budget" in err and err.count("\n") == 1
 
+    def test_memory_budget_error(self, capsys):
+        # fits the cell and work budgets, but its rows would hold ~1.3 GB
+        n1, n2 = 8, 1_560_000
+        assert (n1 + 1) * (n2 + 1) <= exact_count.DEFAULT_CELL_BUDGET
+        assert n1 * n1 * n2 <= exact_count.WORK_BUDGET
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", "--n1", "8", "--n2", "1560000", "--parts", "strict")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "memory budget" in err and err.count("\n") == 1
+
     def test_unwritable_output_is_reported(self, capsys, tmp_path):
         path = tmp_path / "missing" / "count.txt"
         code, out, err = run(
@@ -297,6 +308,20 @@ class TestSample:
         )
         assert code == 1 and out == ""
         assert err.startswith("error:") and "-2" in err
+
+    @pytest.mark.parametrize("parts", ["strict", "nonzero"])
+    def test_reps_pair_cap_is_reported(self, capsys, parts):
+        # log Z is 8.3 (strict) and 27 (nonzero) at (10, 400), so 1e9 replicas
+        # would draw ~8e9 or ~27e9 pairs; refused before the first draw
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "sample", "--n1", "10", "--n2", "400", "--parts", parts,
+            "--reps", "1000000000",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: --reps 1000000000 at log Z")
+        assert str(cli.MAX_SAMPLE_PAIRS) in err and err.count("\n") == 1
 
     def test_tiny_alpha_is_calibrated(self, capsys):
         # alpha ~ 1e-8, where Phi and its derivatives come in closed form

@@ -12,6 +12,7 @@ from bipartitions.exact_count import (
     CellBudgetError,
     PartSet,
     Target,
+    _table_bytes,
     count_1d,
     count_naive,
     count_table,
@@ -258,6 +259,26 @@ class TestMemory:
             tracemalloc.stop()
         assert table.get(60, 60) > 0
         assert peak <= 4 * held
+
+    @pytest.mark.parametrize(
+        "part_set, n1, n2",
+        [
+            (PartSet.STRICT_POSITIVE, 8, 1000),
+            (PartSet.NONZERO_VECTORS, 8, 500),
+            (PartSet.NONZERO_VECTORS, 0, 2000),
+            (PartSet.STRICT_POSITIVE, 30, 30),
+            (PartSet.NONZERO_VECTORS, 1000, 3),
+        ],
+    )
+    def test_memory_estimate_covers_the_peak(self, part_set, n1, n2):
+        # the estimate that MEMORY_BUDGET caps is at least the traced peak
+        tracemalloc.start()
+        try:
+            count_table(part_set, n1, n2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _table_bytes(part_set, min(n1, n2), max(n1, n2))
 
 
 class TestCsv:

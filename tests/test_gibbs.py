@@ -1,8 +1,11 @@
 """Unit tests for the sampler, characteristic function and LLT diagnostics."""
 
+import itertools
 import math
 import time
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -18,6 +21,8 @@ from bipartitions.gibbs import (
     SamplerSpec,
     TruncationError,
     _lyapunov_lattice,
+    _tail_bound,
+    _upper_gammas,
     char_fn,
     char_fn_bound,
     llt_check,
@@ -185,15 +190,21 @@ class TestCharFn:
         )
 
 
+def whitened_directions(params: ShapeParams, part_set: PartSet) -> np.ndarray:
+    """The direction grid t (one row per t) with ||Gamma^{1/2} t|| = 1, in the
+    unswapped orientation."""
+    eigvals, eigvecs = np.linalg.eigh(np.array(gibbs_covariance(params, part_set)))
+    angles = np.pi * np.arange(N_DIRECTIONS) / N_DIRECTIONS
+    whiten = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1) @ whiten
+
+
 def brute_lyapunov(params: ShapeParams, part_set: PartSet, span: float = 45.0) -> float:
     """The bound's lattice sum by brute force, in the unswapped orientation:
     max over the whitened direction grid of sum_x |t.x|^3 3q/(1-q)^3 over
     every part with x1 <= span/alpha and x2 <= span/beta.  Each later part has
     alpha x1 + beta x2 > span, so all of them add less than 1e-13 relative."""
-    eigvals, eigvecs = np.linalg.eigh(np.array(gibbs_covariance(params, part_set)))
-    angles = np.pi * np.arange(N_DIRECTIONS) / N_DIRECTIONS
-    whiten = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
-    ts = np.stack([np.cos(angles), np.sin(angles)], axis=1) @ whiten
+    ts = whitened_directions(params, part_set)
     x1, x2 = np.meshgrid(
         np.arange(span // params.alpha + 1), np.arange(span // params.beta + 1), indexing="ij"
     )
@@ -202,6 +213,28 @@ def brute_lyapunov(params: ShapeParams, part_set: PartSet, span: float = 45.0) -
     q = np.exp(-(params.alpha * x1 + params.beta * x2))
     cubes = np.abs(ts[:, :1] * x1 + ts[:, 1:] * x2) ** 3 * (3.0 * q / (1.0 - q) ** 3)
     return float(cubes.sum(axis=1).max())
+
+
+def dropped_cells(params: ShapeParams, part_set: PartSet, k: float, span: float = 40.0):
+    """max over the direction grid of sum |t.x|^3 3q/(1-q)^3 over the parts with
+    k < alpha x1 + beta x2 <= k + span, summed directly 4096 parts at a time;
+    the parts past k + span add a share of order e^{-span} times a power of k + span."""
+    a, b = params.alpha, params.beta
+    x1, x2 = np.meshgrid(
+        np.arange((k + span) // a + 1), np.arange((k + span) // b + 1), indexing="ij"
+    )
+    y = a * x1 + b * x2
+    keep = (y > k) & (y <= k + span)
+    if part_set is PartSet.STRICT_POSITIVE:
+        keep &= (x1 > 0) & (x2 > 0)
+    x1, x2, y = x1[keep], x2[keep], y[keep]
+    ts = whitened_directions(params, part_set)
+    sums = np.zeros(N_DIRECTIONS)
+    for i in range(0, y.size, 4096):
+        part = slice(i, i + 4096)
+        w = 3.0 * np.exp(-y[part]) / (1.0 - np.exp(-y[part])) ** 3
+        sums += (np.abs(ts[:, :1] * x1[part] + ts[:, 1:] * x2[part]) ** 3 * w).sum(axis=1)
+    return float(sums.max())
 
 
 def assert_brackets_brute_force(params: ShapeParams, part_set: PartSet, tol: float = 1e-10):
@@ -262,6 +295,74 @@ class TestLyapunov:
     )
     def test_against_brute_force(self, params, part_set):
         assert_brackets_brute_force(params, part_set)
+
+    @pytest.mark.parametrize(
+        "part_set, target, previous",
+        [
+            (PartSet.STRICT_POSITIVE, Target(10, 100), 2.8973467608308976),
+            (NONZERO, Target(10, 100), 1.9944832978576539),
+            (PartSet.STRICT_POSITIVE, Target(15, 225), 2.354963619321015),
+            (NONZERO, Target(15, 225), 1.6573655398187566),
+            (PartSet.STRICT_POSITIVE, Target(30, 900), 1.657727302287278),
+            (NONZERO, Target(30, 900), 1.1928264153532318),
+        ],
+    )
+    def test_calibrated_values_pinned(self, part_set, target, previous):
+        # `previous` is the bound of the row walk with row and column cuts that
+        # the region sum replaced; both lie within tol = 1e-10 above the lattice sum
+        params = calibrate(target, part_set).params
+        assert lyapunov_bound(params, part_set) == pytest.approx(previous, rel=2e-10)
+
+    @pytest.mark.parametrize("part_set", list(PartSet))
+    @pytest.mark.parametrize(
+        "point", [(0.8, 0.2), (0.2, 0.8), (1.2, 0.3), Target(10, 100)], ids=str
+    )
+    def test_tail_bound_covers_dropped_cells(self, point, part_set):
+        # T(k) is at least the parts with alpha x1 + beta x2 > k, summed directly
+        # out to k + 40, at k = 8, 20 and the edge that the bound chose
+        if isinstance(point, Target):
+            params = calibrate(point, part_set).params
+        else:
+            params = ShapeParams(*point)
+        a, b = params.alpha, params.beta
+        ts = whitened_directions(params, part_set)
+        c = max(np.abs(ts[:, 0]).max() / a, np.abs(ts[:, 1]).max() / b)
+        gamma = np.array(gibbs_covariance(params, part_set))
+        tail = _lyapunov_lattice(params, part_set, gamma)[2]
+        chosen = next(k for k in itertools.count(8) if _tail_bound(k, a, b, c) <= tail * 1.001)
+        assert _tail_bound(chosen, a, b, c) == pytest.approx(tail, rel=1e-12)
+        for k in (8, 20, chosen):
+            assert dropped_cells(params, part_set, k) <= _tail_bound(k, a, b, c)
+
+    def test_upper_gammas_match_mpmath(self):
+        for k in (3.0, 8.0, 20.0, 43.0, 100.0, 300.0):
+            for n, value in enumerate(_upper_gammas(5, k)):
+                assert value == pytest.approx(float(mpmath.gammainc(n + 1, k)), rel=1e-12)
+
+    def test_peak_memory_is_capped(self):
+        # blocks of BLOCK_CELLS cells keep the peak near 0.4 MB at (60, 3600);
+        # one block for the whole region (66,213 cells) peaks near 8.9 MB, and
+        # blocks of 2^14 cells near 2.3 MB
+        params = calibrate(Target(60, 3600), PartSet.STRICT_POSITIVE).params
+        lyapunov_bound(params, PartSet.STRICT_POSITIVE)  # caches filled outside the trace
+        tracemalloc.start()
+        try:
+            lyapunov_bound(params, PartSet.STRICT_POSITIVE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("part_set", list(PartSet))
+    def test_region_past_cap_is_refused_before_its_first_cell(self, part_set, monkeypatch):
+        # R_8 fits under the cap at alpha = beta = 0.005 (~1.3e6 cells) but R_K
+        # may not (K ~ 45, up to ~3.5e7 cells): refused before any cell is summed
+        def no_cells(*args):
+            raise AssertionError("a cell was summed")
+
+        monkeypatch.setattr(gibbs, "_segments", no_cells)
+        with pytest.raises(ValueError, match=rf"\d+ cells, above the cap of {MAX_LATTICE_CELLS}"):
+            lyapunov_bound(ShapeParams(0.005, 0.005), part_set)
 
     def test_huge_lattice_fails_fast(self):
         for part_set in PartSet:
