@@ -22,6 +22,17 @@ from .special_functions import (
 MAX_EXPANSION_ORDER = 8
 
 
+def _family_rates(a, b, nonzero: bool, r) -> np.ndarray:
+    """The r-th terms of log Z = sum_r sum_{x in X} e^{-r(a x1 + b x2)}/r, one
+    row per part family, in this order (`gibbs._chunks` relies on it): the
+    interior x1, x2 >= 1 at G0(a r) G0(b r)/r, then, for the nonzero set only,
+    the axis x2 = 0 at G0(a r)/r and the axis x1 = 0 at G0(b r)/r.  G0(x) is
+    taken as e^{-x}/(1 - e^{-x}), so a and b may be complex: past Re x ~ 709
+    it gives 0 where 1/expm1(x) would give nan."""
+    ga, gb = (np.exp(x) / -np.expm1(x) for x in (-a * r, -b * r))
+    return np.stack([ga * gb, ga, gb] if nonzero else [ga * gb]) / r
+
+
 def _log_z_sums(params: ShapeParams, part_set: PartSet) -> tuple:
     """(log Z, E N1, E N2, Var N1, Cov, Var N2), one r-pass per part family:
     log Z = sum_r G0(a r) G0(b r)/r (+ Psi(a) + Psi(b) for the axis families),

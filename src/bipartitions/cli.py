@@ -3,13 +3,14 @@
 Subcommands: count, coeffs, compare, rates, sample, llt.  Numeric output is
 CSV (12 significant digits; compare's log_ratio to 10 decimal places, the
 accuracy the calibration supports) or JSON with stable key order; exact
-counts are always printed as decimal strings.  The environment variable
-BIPART_CELL_BUDGET overrides the counting cell budget; a fixed work budget
-(exact_count.WORK_BUDGET) refuses a table whose recurrence would take more
-than ~25 s, and `sample` refuses more than MAX_SAMPLE_PAIRS expected pairs
-(reps x log Z).  A refused input, an exceeded budget or an --output that cannot
-be opened prints one ``error: ...`` line on stderr and exits with status 1;
-argparse usage errors exit with status 2.
+counts are always printed as decimal strings.  Fixed budgets refuse a count
+table past exact_count.CELL_BUDGET cells or one whose recurrence would take
+more than ~25 s (exact_count.WORK_BUDGET), `sample` refuses more than
+MAX_SAMPLE_PAIRS expected pairs (reps x log Z) and `rates` more than
+MAX_RATE_STEPS steps.  A refused input, an exceeded budget, a number too large
+for a float or an --output that cannot be opened prints one ``error: ...``
+line on stderr and exits with status 1; argparse usage errors exit with
+status 2.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ from .gibbs import SamplerSpec, llt_check, pair_rates, samples
 # Most pairs (r, part) that `bipart sample` may expect to draw: each costs
 # ~110 bytes while the output is built and ~4 us on a 2-core VM.
 MAX_SAMPLE_PAIRS = 10**6
+# Most rows `bipart rates` may tabulate: each takes 55-70 us on a 2-core VM,
+# so this many finish in ~7 s.
+MAX_RATE_STEPS = 10**5
 
 
 def _fmt(x: float) -> str:
@@ -107,8 +111,8 @@ def cmd_coeffs(args, out: IO[str]) -> None:
 def cmd_compare(args, out: IO[str]) -> None:
     part_set = PartSet(args.parts)
     grid = [int(v) for v in args.n2_grid.split(",") if v]
-    if not math.isfinite(args.t):
-        raise ValueError(f"t must be finite, got {args.t}")
+    if not (math.isfinite(args.t) and args.t > 0):
+        raise ValueError(f"--t must be finite and positive, got {args.t}")
     for n2 in grid:
         if n2 < 1:
             raise ValueError(f"n2-grid values must be >= 1, got {n2}")
@@ -128,8 +132,8 @@ def cmd_compare(args, out: IO[str]) -> None:
 
 
 def cmd_rates(args, out: IO[str]) -> None:
-    if args.steps < 1:
-        raise ValueError("steps must be >= 1")
+    if not 1 <= args.steps <= MAX_RATE_STEPS:
+        raise ValueError(f"--steps must lie in [1, {MAX_RATE_STEPS}], got {args.steps}")
     for flag, t in (("t-min", args.t_min), ("t-max", args.t_max)):
         if not (math.isfinite(t) and t > 0):
             raise ValueError(f"--{flag} must be finite and positive, got {t}")
@@ -186,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.output not in (None, "-"):
             out = open(args.output, "w")
         args.handler(args, out)
-    except (OSError, ValueError) as exc:
+    except (OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

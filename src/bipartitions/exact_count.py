@@ -12,7 +12,6 @@ truth.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -45,7 +44,9 @@ class Target:
             raise ValueError(f"target components must be non-negative, got {self}")
 
 
-DEFAULT_CELL_BUDGET = 1 << 26
+# Most cells a table may have: the cheapest refusal, checked first, so the
+# work and memory estimates below never see an int too large for a float.
+CELL_BUDGET = 1 << 26
 # The recurrence makes about m^2 M row-cell additions (m = min(n1, n2),
 # M = max(n1, n2)), and the nonzero set's pentagonal P_0 about M^(3/2) more;
 # the largest tables this admits, such as nonzero (0, 215443) or (464, 464),
@@ -117,18 +118,14 @@ def count_table(part_set: PartSet, n1: int, n2: int) -> CountTable:
     most 72 rows); larger d, where a/d is small, sum u_d afresh.  The cost
     grows like n1^2 n2 additions, so a thin table with n1 > n2 is built as the
     (n2, n1) table and transposed: both part sets are symmetric under
-    (x1, x2) -> (x2, x1).  A table past the cell budget (BIPART_CELL_BUDGET
-    overrides it), WORK_BUDGET or MEMORY_BUDGET raises CellBudgetError before
-    its first row.
+    (x1, x2) -> (x2, x1).  A table past CELL_BUDGET, WORK_BUDGET or
+    MEMORY_BUDGET raises CellBudgetError before its first row.
     """
     if n1 < 0 or n2 < 0:
         raise ValueError("table bounds must be non-negative")
-    budget = int(os.environ.get("BIPART_CELL_BUDGET") or DEFAULT_CELL_BUDGET)
     cells = (n1 + 1) * (n2 + 1)
-    if cells > budget:
-        raise CellBudgetError(
-            f"table of {cells} cells exceeds the cell budget {budget}"
-        )
+    if cells > CELL_BUDGET:
+        raise CellBudgetError(f"table of {cells} cells exceeds the cell budget {CELL_BUDGET}")
     m, big = min(n1, n2), max(n1, n2)
     work = m * m * big + (big**1.5 if part_set is PartSet.NONZERO_VECTORS else 0)
     if work > WORK_BUDGET:

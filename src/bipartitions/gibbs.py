@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import _log_z_sums, gibbs_covariance
+from .asymptotics import _family_rates, _log_z_sums, gibbs_covariance
 from .calibration import ShapeParams, calibrate
-from .exact_count import CountTable, PartSet, Target, count_table
+from .exact_count import PartSet, Target, count_table
 from .special_functions import _geometric, _series
 
 # replicas per random stream; a chunk holds ~CHUNK_REPLICAS * log Z pairs at
@@ -58,30 +58,23 @@ class SampledPartition:
 
 
 def pair_rates(spec: SamplerSpec) -> tuple[np.ndarray, float]:
-    """Rates lambda[f, r - 1] of the pairs (r, part) of each part family f, cut
-    in r, and a bound on the rate sum_{r > cut} of the dropped pairs, which
-    bounds the chance that one occurs and so the total-variation distance.
-
-    Family 0 (x1, x2 >= 1) has rate G0(alpha r) G0(beta r)/r; the nonzero set
-    adds the axes x2 = 0 and x1 = 0, at G0(alpha r)/r and G0(beta r)/r.  As
-    G0(x + a) <= e^{-a} G0(x), the total shrinks by q = e^{-decay} per step.
+    """Rates lambda[f, r - 1] of the pairs (r, part) of each part family f
+    (the rows of `_family_rates`), cut in r, and a bound on the rate
+    sum_{r > cut} of the dropped pairs, which bounds the chance that one
+    occurs and so the total-variation distance.  As G0(x + a) <= e^{-a} G0(x),
+    the total shrinks by q = e^{-decay} per step.
     """
     a, b = spec.params.alpha, spec.params.beta
     nonzero = spec.part_set is PartSet.NONZERO_VECTORS
     decay = min(a, b) if nonzero else a + b
     tail_factor = float(_geometric(decay)[0])  # q / (1 - q)
-
-    def rates(r: np.ndarray) -> np.ndarray:
-        ga, gb = _geometric(a * r)[0], _geometric(b * r)[0]
-        return np.stack([ga * gb, ga, gb] if nonzero else [ga * gb]) / r
-
     # lambda_r <= lambda_1 q^{r-1}, so the cut comes no later than max_r
-    first_tail = float(rates(np.ones(1)).sum()) * tail_factor
+    first_tail = float(_family_rates(a, b, nonzero, 1.0).sum()) * tail_factor
     max_r = 2 + math.ceil(math.log(max(first_tail / spec.tv_budget, 1.0)) / decay)
     if max_r > MAX_RATE_TERMS:
         msg = f"tv_budget {spec.tv_budget!r} may need {max_r} terms of r, above {MAX_RATE_TERMS}"
         raise TruncationError(msg)
-    table = rates(np.arange(1.0, max_r + 1.0))
+    table = _family_rates(a, b, nonzero, np.arange(1.0, max_r + 1.0))
     tails = table.sum(axis=0) * tail_factor
     cut = int(np.flatnonzero(tails < spec.tv_budget)[0])
     return table[:, : cut + 1], float(tails[cut])
@@ -168,30 +161,20 @@ def sample_batch(spec: SamplerSpec, reps: int, tracked_parts: tuple = ()) -> Bat
 
 
 def char_fn(params: ShapeParams, part_set: PartSet, t: tuple[float, float]) -> complex:
-    """Characteristic function of N at frequency t, via the product formula.
-
-    log phi = sum_r (1/r) [prod of complex geometric sums - real ones],
-    the inner sums over the part coordinates being closed geometric series.
+    """Characteristic function of N at frequency t, via the product formula:
+    log phi = sum_r [the log-Z terms at (alpha - i t1, beta - i t2) minus
+    those at (alpha, beta)], summed over the part families.
     """
     a, b = params.alpha, params.beta
     t1, t2 = t
     nonzero = part_set is PartSet.NONZERO_VECTORS
 
-    def geom(s: complex, r: np.ndarray) -> np.ndarray:
-        # e^{-rs}/(1 - e^{-rs}) without cancellation or overflow, s real or complex
-        return np.exp(-r * s) / -np.expm1(-r * s)
-
     def block(r: np.ndarray) -> np.ndarray:
-        ga, gb = geom(a, r), geom(b, r)
-        gca, gcb = geom(complex(a, -t1), r), geom(complex(b, -t2), r)
-        term = (gca * gcb - ga * gb) / r
-        # |gca| <= ga and |gcb| <= gb, so the real second row majorises
-        # |term| and shrinks by e^{-(a+b)} per step (e^{-min(a,b)} with axes)
-        majorant = 2.0 * ga * gb / r
-        if nonzero:
-            term += ((gca - ga) + (gcb - gb)) / r
-            majorant += 2.0 * (ga + gb) / r
-        return np.stack([term, majorant])
+        shifted = _family_rates(complex(a, -t1), complex(b, -t2), nonzero, r).sum(0)
+        real = _family_rates(a, b, nonzero, r).sum(0)
+        # each shifted term is at most its real one in modulus, so twice the
+        # real sum majorises the term and shrinks by e^{-decay} per step
+        return np.stack([shifted - real, 2.0 * real])
 
     log_phi = _series(block, min(a, b) if nonzero else a + b, 0.0)[0][0]
     return complex(np.exp(log_phi))
@@ -394,8 +377,7 @@ def _lyapunov_lattice(params: ShapeParams, part_set: PartSet, gamma, tol: float 
 
     # Holder with sum_x (t.x)^2 q/(1-q)^2 = t.Gamma t = 1 gives
     # sum_x |t.x|^3 w >= 3/sqrt(sum_x q) for every t, before any cell is summed
-    g0a, g0b = 1.0 / math.expm1(a), 1.0 / math.expm1(b)
-    holder = 3.0 / math.sqrt(g0a * g0b + (g0a + g0b if nonzero else 0.0))
+    holder = 3.0 / math.sqrt(_family_rates(a, b, nonzero, 1.0).sum())
     _check_cells(_edge(0.5 * tol * holder, a, b, c), a, b)
     cells = add(0.0, FIRST_K)
     k = _edge(0.5 * tol * max(holder, float(sums.max())), a, b, c)
@@ -409,7 +391,7 @@ def _lyapunov_lattice(params: ShapeParams, part_set: PartSet, gamma, tol: float 
 # ---------------------------------------------------------------------------
 
 
-def llt_check(target: Target, part_set: PartSet, table: CountTable | None = None) -> dict:
+def llt_check(target: Target, part_set: PartSet) -> dict:
     """The report that `bipart llt` prints: the normalized local-limit ratio
     2 pi sqrt(det Gamma) P(N = n) at n, with what it rests on.
 
@@ -420,15 +402,7 @@ def llt_check(target: Target, part_set: PartSet, table: CountTable | None = None
     which `bipart llt` prints them; "extras" holds the mean offset, log Z and
     the Lyapunov lattice's cells and tail bound.
     """
-    if table is None:
-        table = count_table(part_set, target.n1, target.n2)
-    elif (
-        table.part_set is not part_set
-        or table.max1 < target.n1
-        or table.max2 < target.n2
-    ):
-        raise ValueError("provided count table does not cover the target")
-    p_exact = table.get(target.n1, target.n2)
+    p_exact = count_table(part_set, target.n1, target.n2).get(target.n1, target.n2)
 
     params = calibrate(target, part_set).params
     log_z, mean1, mean2, caa, cab, cbb = _log_z_sums(params, part_set)

@@ -206,16 +206,13 @@ def test_criterion_5_moment_consistency(capsys):
     report(capsys, 5, "gradient/Hessian consistency", failures)
 
 
-def test_criterion_6_llt_normalized_ratio(capsys, grid_tables):
+def test_criterion_6_llt_normalized_ratio(capsys):
     failures = []
     for part_set in PartSet:
         ratios = []
         for n2 in GRID_N2:
             n1 = math.isqrt(n2)
-            rep = llt_check(
-                Target(n1, n2), part_set, table=grid_tables[(part_set, n2)]
-            )
-            ratios.append(rep["normalized_ratio"])
+            ratios.append(llt_check(Target(n1, n2), part_set)["normalized_ratio"])
         final = ratios[-1]
         if not (0.5 <= final <= 2.0):
             failures.append(f"{part_set.value}: ratio at (30,900) = {final}")

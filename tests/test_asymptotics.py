@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bipartitions.asymptotics import (
     MAX_EXPANSION_ORDER,
+    _family_rates,
     gibbs_covariance,
     gibbs_mean,
     log_z_direct,
@@ -35,6 +36,44 @@ def brute_force_log_z(a: float, b: float, part_set: PartSet) -> float:
                 continue
             total += -math.log(-math.expm1(-(a * x1 + b * x2)))
     return total
+
+
+class TestFamilyRates:
+    BOX = 200  # coordinates 0..BOX; Re alpha, Re beta >= 0.3 drop below e^{-60}
+
+    @pytest.mark.parametrize(
+        "a, b", [(0.7, 0.4), (2.5, 0.3), (complex(0.7, -1.3), complex(0.4, 2.9))]
+    )
+    @pytest.mark.parametrize("part_set", list(PartSet))
+    def test_rows_match_brute_force_sums(self, a, b, part_set):
+        """At r = 1 each row is sum_x e^{-(alpha x1 + beta x2)} over its family:
+        the interior, then the axes x2 = 0 and x1 = 0 (the order `_chunks`
+        reads), summed here over the box 0..BOX in each coordinate."""
+        nonzero = part_set is PartSet.NONZERO_VECTORS
+        x = np.arange(self.BOX + 1)
+        ea, eb = np.exp(-a * x), np.exp(-b * x)
+        brute = [np.outer(ea[1:], eb[1:]).sum()]
+        if nonzero:
+            brute += [ea[1:].sum(), eb[1:].sum()]
+        # the parts outside the box weigh at most (e^{-Re a BOX} + e^{-Re b BOX})
+        # (1 + G0(Re a)) (1 + G0(Re b)) in modulus
+        ga, gb = (1.0 / math.expm1(s.real) for s in (a, b))
+        cut = math.exp(-a.real * self.BOX) + math.exp(-b.real * self.BOX)
+        tail = cut * (1.0 + ga) * (1.0 + gb)
+        rows = _family_rates(a, b, nonzero, 1.0)
+        assert rows.shape == (len(brute),)
+        for row, direct in zip(rows, brute):
+            assert abs(row - direct) <= tail + 1e-14 * abs(direct)
+        assert abs(rows.sum() - sum(brute)) <= tail + 1e-14 * sum(map(abs, brute))
+
+    @pytest.mark.parametrize("part_set", list(PartSet))
+    def test_far_terms_are_zero_not_nan(self, part_set):
+        # Re(alpha r) runs past 709, where 1/expm1 of a complex argument is nan
+        nonzero = part_set is PartSet.NONZERO_VECTORS
+        r = np.arange(1.0, 2001.0)
+        rows = _family_rates(complex(0.5, -2.0), complex(3.0, 1.0), nonzero, r)
+        assert np.isfinite(rows).all() and not rows[:, -1].any()
+        assert np.isfinite(_family_rates(720.0, 0.5, nonzero, r)).all()
 
 
 class TestLogZDirect:

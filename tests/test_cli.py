@@ -51,18 +51,19 @@ class TestCount:
         assert code == 0 and out == ""
         assert path.read_text().strip() == "2"
 
-    def test_cell_budget_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("BIPART_CELL_BUDGET", "10")
-        code, out, err = run(capsys, "count", "--n1", "9", "--n2", "9", "--parts", "strict")
+    def test_cell_budget_error(self, capsys):
+        # 8193^2 cells, just over 2^26
+        assert 8193 * 8193 > exact_count.CELL_BUDGET
+        code, out, err = run(capsys, "count", "--n1", "8192", "--n2", "8192", "--parts", "strict")
         assert code == 1 and out == ""
-        assert "error:" in err
+        assert err.startswith("error: ") and "cell budget" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "n1, n2, parts", [(3000, 3000, "strict"), (0, 10**7, "nonzero")]
     )
     def test_work_budget_error(self, capsys, n1, n2, parts):
         # both fit the cell budget; refused before the first row
-        assert (n1 + 1) * (n2 + 1) <= exact_count.DEFAULT_CELL_BUDGET
+        assert (n1 + 1) * (n2 + 1) <= exact_count.CELL_BUDGET
         start = time.perf_counter()
         code, out, err = run(capsys, "count", "--n1", str(n1), "--n2", str(n2), "--parts", parts)
         assert time.perf_counter() - start < 1.0
@@ -72,7 +73,7 @@ class TestCount:
     def test_memory_budget_error(self, capsys):
         # fits the cell and work budgets, but its rows would hold ~1.3 GB
         n1, n2 = 8, 1_560_000
-        assert (n1 + 1) * (n2 + 1) <= exact_count.DEFAULT_CELL_BUDGET
+        assert (n1 + 1) * (n2 + 1) <= exact_count.CELL_BUDGET
         assert n1 * n1 * n2 <= exact_count.WORK_BUDGET
         start = time.perf_counter()
         code, out, err = run(capsys, "count", "--n1", "8", "--n2", "1560000", "--parts", "strict")
@@ -155,6 +156,19 @@ class TestRates:
         code, _, err = run(capsys, "rates", "--steps", "0")
         assert code == 1 and "error:" in err
 
+    def test_steps_above_cap_are_refused(self, capsys, monkeypatch):
+        # the cap itself passes the check (rate_table stubbed out, so no
+        # 10^5-row table is built); more steps are refused before the grid
+        monkeypatch.setattr(cli, "rate_table", lambda grid: [])
+        code, out, err = run(capsys, "rates", "--steps", str(cli.MAX_RATE_STEPS))
+        assert code == 0 and out == "t,h,h_bar\n" and err == ""
+        for steps in (cli.MAX_RATE_STEPS + 1, 10**8):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "rates", "--steps", str(steps))
+            assert time.perf_counter() - start < 1.0
+            assert code == 1 and out == ""
+            assert err == f"error: --steps must lie in [1, {cli.MAX_RATE_STEPS}], got {steps}\n"
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_bound_is_refused(self, capsys, value):
         # checked before the grid is built: no numpy warning, and the value given
@@ -222,7 +236,15 @@ class TestCompare:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "-4" in err
         code, out, err = run(capsys, "compare", "--parts", "strict", "--t", "inf")
-        assert code == 1 and out == "" and err == "error: t must be finite, got inf\n"
+        assert code == 1 and out == ""
+        assert err == "error: --t must be finite and positive, got inf\n"
+
+    @pytest.mark.parametrize("t", ["-1", "0", "-inf", "nan"])
+    def test_non_positive_t_is_refused(self, capsys, t):
+        # t = -1 used to put n1 = 1 at every grid point
+        code, out, err = run(capsys, "compare", "--parts", "strict", f"--t={t}")
+        assert code == 1 and out == ""
+        assert err == f"error: --t must be finite and positive, got {float(t)}\n"
 
     def test_one_table_for_the_grid(self, capsys, monkeypatch):
         calls = []
@@ -330,6 +352,19 @@ class TestSample:
         )
         assert code == 0 and err == ""
         assert max(json.loads(out)["residuals"]) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--parts", "strict", "--n2-grid", str(10**400)],
+        ["sample", "--n1", "1", "--n2", str(10**400), "--parts", "strict"],
+    ],
+)
+def test_integer_too_large_for_a_float_is_reported(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestLLT:

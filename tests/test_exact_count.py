@@ -8,6 +8,7 @@ from functools import lru_cache
 import pytest
 
 from bipartitions.exact_count import (
+    CELL_BUDGET,
     NAIVE_LIMIT,
     CellBudgetError,
     PartSet,
@@ -217,17 +218,13 @@ class TestPartsInBox:
 
 
 class TestBudgetAndValidation:
-    def test_budget_exceeded(self, monkeypatch):
-        monkeypatch.setenv("BIPART_CELL_BUDGET", "50")
-        with pytest.raises(CellBudgetError, match="121 cells exceeds the cell budget 50"):
-            count_table(PartSet.STRICT_POSITIVE, 10, 10)
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("BIPART_CELL_BUDGET", "10")
-        with pytest.raises(CellBudgetError):
-            count_table(PartSet.STRICT_POSITIVE, 10, 10)
-        monkeypatch.setenv("BIPART_CELL_BUDGET", "1000")
-        assert count_table(PartSet.STRICT_POSITIVE, 10, 10).get(1, 1) == 1
+    def test_budget_exceeded(self):
+        # one cell over 2^26, refused before the float work and memory estimates
+        message = "67108865 cells exceeds the cell budget 67108864"
+        with pytest.raises(CellBudgetError, match=message):
+            count_table(PartSet.STRICT_POSITIVE, 0, CELL_BUDGET)
+        with pytest.raises(CellBudgetError, match="cell budget"):
+            count_table(PartSet.NONZERO_VECTORS, 1, 10**400)
 
     def test_negative_target(self):
         with pytest.raises(ValueError):

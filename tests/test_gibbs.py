@@ -419,16 +419,3 @@ class TestLLT:
             assert report["gamma"] == [list(row) for row in gibbs_covariance(params, part_set)]
             assert report["extras"]["log_z"] == log_z_direct(params, part_set)
             assert report["lyapunov"] == lyapunov_bound(params, part_set)
-
-    def test_reuses_table(self):
-        target = Target(6, 36)
-        table = count_table(PartSet.NONZERO_VECTORS, 6, 36)
-        report = llt_check(target, PartSet.NONZERO_VECTORS, table=table)
-        assert report["p_exact_decimal_string"] == str(table.get(6, 36))
-
-    def test_table_mismatch(self):
-        table = count_table(PartSet.STRICT_POSITIVE, 4, 4)
-        with pytest.raises(ValueError):
-            llt_check(Target(6, 6), PartSet.STRICT_POSITIVE, table=table)
-        with pytest.raises(ValueError):
-            llt_check(Target(4, 4), PartSet.NONZERO_VECTORS, table=table)

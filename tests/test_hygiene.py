@@ -3,8 +3,8 @@ private module-level name and every non-dunder method of the package is read
 somewhere in it, every public module-level name of a module is read by that
 module, or imported from it or read as module.name in the package or the bench
 (or is on TEST_ONLY_API), every dataclass field of the package is read as an
-attribute in the package, the bench or the tests, and no line is longer than
-MAX_LINE characters."""
+attribute in the package, the bench or the tests, no module of the package
+reads the environment, and no line is longer than MAX_LINE characters."""
 
 import ast
 from pathlib import Path
@@ -262,3 +262,36 @@ def test_no_dead_dataclass_fields():
     defined = set().union(*map(dataclass_fields, sources))
     read = set().union(*map(read_attributes, readers))
     assert sorted(defined - read) == []
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> set[str]:
+    """os.environ, os.getenv and kin, read as attributes or imported from os."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS:
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found.update(a.name for a in node.names if a.name in ENVIRONMENT_READERS)
+    return found
+
+
+def test_environment_detector():
+    source = (
+        "import os\nfrom os import getenv as g, sep\n"
+        "x = os.environ.get('A')\ny = os.path.join(sep, 'b')\n"
+    )
+    assert environment_reads(source) == {"environ", "getenv"}
+    assert environment_reads("import os\nz = os.getenvb(b'A')\n") == {"getenvb"}
+
+
+def test_no_environment_reads():
+    # every knob is a stated module constant, so none can hide in the environment
+    found = {
+        path.name: names
+        for path in ROOT.glob("src/bipartitions/*.py")
+        if (names := environment_reads(path.read_text()))
+    }
+    assert found == {}
