@@ -108,6 +108,14 @@ def cmd_coeffs(args, out: IO[str]) -> None:
         out.write(line + "\n")
 
 
+def _check_float(flag: str, value: int) -> None:
+    """Refuse an integer flag value too large for a float, naming the flag."""
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"--{flag} has {len(str(value))} digits, too large for a float") from None
+
+
 def cmd_compare(args, out: IO[str]) -> None:
     part_set = PartSet(args.parts)
     grid = [int(v) for v in args.n2_grid.split(",") if v]
@@ -116,19 +124,19 @@ def cmd_compare(args, out: IO[str]) -> None:
     for n2 in grid:
         if n2 < 1:
             raise ValueError(f"n2-grid values must be >= 1, got {n2}")
+        _check_float("n2-grid", n2)
     points = [(max(1, int(math.floor(args.t * math.sqrt(n2)))), n2) for n2 in grid]
-    out.write("n2,n1,p_exact,log_pred,log_ratio\n")
-    if not points:
-        return
-    # one table covers every grid point
-    table = count_table(part_set, max(p[0] for p in points), max(p[1] for p in points))
+    # every row is formed before any is written, so a refusal writes nothing
+    rows = ["n2,n1,p_exact,log_pred,log_ratio\n"]
+    if points:
+        # one table covers every grid point
+        table = count_table(part_set, max(p[0] for p in points), max(p[1] for p in points))
     for n1, n2 in points:
         p_exact = table.get(n1, n2)
         est = theorem_estimate(Target(n1, n2), part_set)
         log_ratio = math.log(p_exact) - est.log_value
-        out.write(
-            f"{n2},{n1},{p_exact},{_fmt(est.log_value)},{log_ratio:.10f}\n"
-        )
+        rows.append(f"{n2},{n1},{p_exact},{_fmt(est.log_value)},{log_ratio:.10f}\n")
+    out.write("".join(rows))
 
 
 def cmd_rates(args, out: IO[str]) -> None:
@@ -149,7 +157,10 @@ def cmd_sample(args, out: IO[str]) -> None:
     if args.reps < 0:
         raise ValueError(f"reps must be >= 0, got {args.reps}")
     part_set = PartSet(args.parts)
-    cal = calibrate(Target(args.n1, args.n2), part_set)
+    target = Target(args.n1, args.n2)
+    _check_float("n1", args.n1)
+    _check_float("n2", args.n2)
+    cal = calibrate(target, part_set)
     spec = SamplerSpec(cal.params, part_set, args.tv_budget, args.seed)
     rates, tail_bound = pair_rates(spec)
     log_z = float(rates.sum())  # the pairs a replica expects, each held as a JSON triple

@@ -210,7 +210,9 @@ MAX_LATTICE_CELLS = 1 << 22  # most lattice cells the Lyapunov bound may sum
 # from the tip of the region, so a block has few segments (at most 64 in the
 # tests, under 1 MB).
 BLOCK_CELLS = 1 << 11
-FIRST_K = 8.0  # edge of the first region, whose sum picks the final edge K
+FIRST_K = 8.0  # smallest edge K of the region (the tail bound T(K) needs K >= 3)
+# the bound is at most 1 + LYAPUNOV_TOL/2 times the full lattice sum
+LYAPUNOV_TOL = 1e-10
 
 
 def _check_cells(k: float, a: float, b: float) -> None:
@@ -221,16 +223,6 @@ def _check_cells(k: float, a: float, b: float) -> None:
     if cells > MAX_LATTICE_CELLS:
         msg = f"the Lyapunov lattice at (alpha, beta) = ({a!r}, {b!r}) may take"
         raise ValueError(f"{msg} {cells:.0f} cells, above the cap of {MAX_LATTICE_CELLS}")
-
-
-def _lattice_rates(params: ShapeParams, tol: float) -> tuple[float, float]:
-    """The rates (a, b) with a >= b, rows running along a, once tol is valid
-    and the first region a x1 + b x2 <= FIRST_K fits under the cap."""
-    if not (0 < tol <= 1e-6):
-        raise ValueError(f"tolerance must lie in (0, 1e-6], got {tol!r}")
-    a, b = max(params.alpha, params.beta), min(params.alpha, params.beta)
-    _check_cells(FIRST_K, a, b)
-    return a, b
 
 
 def _upper_gammas(n: int, k: float) -> list[float]:
@@ -274,20 +266,20 @@ def _edge(target: float, a: float, b: float, c: float) -> float:
     return k
 
 
-def _segments(a: float, b: float, nonzero: bool, lo: float, hi: float):
-    """The rows of {x in the part set : lo < a x1 + b x2 <= hi}, lo >= 0, as
-    arrays (x1, first x2, cells), each row cut into segments of at most
-    BLOCK_CELLS cells.  y > lo >= 0 leaves out (0, 0)."""
-    x1 = np.arange(0 if nonzero else 1, math.floor(hi / a) + 1)
-    start = np.maximum(np.floor((lo - a * x1) / b) + 1.0, 0 if nonzero else 1)
-    n = np.maximum(np.floor((hi - a * x1) / b) + 1.0 - start, 0.0).astype(np.int64)
+def _segments(a: float, b: float, nonzero: bool, k: float):
+    """The rows of {x in the part set : a x1 + b x2 <= k} as arrays (x1, first
+    x2, cells), each row cut into segments of at most BLOCK_CELLS cells.  A row
+    starts at x2 = 1, or at x2 = 0 for x1 >= 1 in the nonzero set."""
+    x1 = np.arange(0 if nonzero else 1, math.floor(k / a) + 1)
+    start = np.where(nonzero & (x1 > 0), 0.0, 1.0)
+    n = np.maximum(np.floor((k - a * x1) / b) + 1.0 - start, 0.0).astype(np.int64)
     pieces = -(-n // BLOCK_CELLS)
     row = np.repeat(np.arange(n.size), pieces)
     skip = BLOCK_CELLS * (np.arange(row.size) - np.repeat(np.cumsum(pieces) - pieces, pieces))
     return x1[row], start[row] + skip, np.minimum(n[row] - skip, BLOCK_CELLS)
 
 
-def lyapunov_bound(params: ShapeParams, part_set: PartSet, tol: float = 1e-10) -> float:
+def lyapunov_bound(params: ShapeParams, part_set: PartSet) -> float:
     """Upper bound max_t sum_x |t.x|^3 w(x) on the scale-free Lyapunov ratio
     over a grid of directions t with ||Gamma^{1/2} t|| = 1, where
     w = 3q/(1-q)^3 with q = e^{-<lambda,x>} is the Cauchy-Schwarz bound on a
@@ -295,34 +287,32 @@ def lyapunov_bound(params: ShapeParams, part_set: PartSet, tol: float = 1e-10) -
 
     With (a, b) = (alpha, beta), the sum runs over one region R_K = {x :
     a x1 + b x2 <= K} and adds the closed-form bound T(K) on every part
-    outside it (`_tail_bound`).  The region is walked in blocks of whole row
-    segments, at most BLOCK_CELLS cells each: with c = t1 x1 and d = t2 (t
-    negated where t2 < 0), a segment's sum of |c + d x2|^3 w for every t
-    comes from its suffix moments sum_{x2 >= A} x1^{3-p} x2^p w, split at the
-    root of c + d x2.  A first region R_8 gives a lower bound L on the
-    maximum, and K is the smallest integer with T(K) <= tol/2 L; then the
-    cells of R_K outside R_8 are added.  So the value is at least the full
-    lattice sum (up to rounding) and at most (1 + tol/2) times it.  A
-    Holder bound on the maximum, known before any cell is summed, also
-    bounds L from below, and so K and the cells from above.  Rows run
-    along the larger rate: for alpha < beta the bound is taken at (beta,
-    alpha).  The value is the same: both part sets are symmetric under
-    (x1, x2) -> (x2, x1), and the grid of angles pi k / N_DIRECTIONS maps onto
-    itself under theta -> pi/2 - theta because N_DIRECTIONS is even, which it
-    must stay.  A lattice whose R_8 passes MAX_LATTICE_CELLS raises
-    ValueError before the log-Z pass that gives Gamma; one whose R_K may pass
-    it raises before its first cell.
+    outside it (`_tail_bound`).  Holder's inequality gives a lower bound H on
+    the maximum before any cell is summed, and K is the smallest integer
+    >= FIRST_K with T(K) <= LYAPUNOV_TOL/2 H.  So the value is at least the
+    full lattice sum (up to rounding) and at most 1 + LYAPUNOV_TOL/2 times
+    it.  The region is walked once, in blocks of whole row segments, at most
+    BLOCK_CELLS cells each: with c = t1 x1 and d = t2 (t negated where
+    t2 < 0), a segment's sum of |c + d x2|^3 w for every t comes from its
+    suffix moments sum_{x2 >= A} x1^{3-p} x2^p w, split at the root of
+    c + d x2.  Rows run along the larger rate: for alpha < beta the bound is
+    taken at (beta, alpha).  The value is the same: both part sets are
+    symmetric under (x1, x2) -> (x2, x1), and the grid of angles
+    pi k / N_DIRECTIONS maps onto itself under theta -> pi/2 - theta because
+    N_DIRECTIONS is even, which it must stay.  A lattice whose R_8 passes
+    MAX_LATTICE_CELLS raises ValueError before the log-Z pass that gives
+    Gamma; one whose R_K may pass it raises before its first cell.
     """
-    _lattice_rates(params, tol)
+    _check_cells(FIRST_K, max(params.alpha, params.beta), min(params.alpha, params.beta))
     gamma = np.array(gibbs_covariance(params, part_set))
-    return _lyapunov_lattice(params, part_set, gamma, tol)[0]
+    return _lyapunov_lattice(params, part_set, gamma)[0]
 
 
-def _lyapunov_lattice(params: ShapeParams, part_set: PartSet, gamma, tol: float = 1e-10):
+def _lyapunov_lattice(params: ShapeParams, part_set: PartSet, gamma):
     """lyapunov_bound as (value, cells, tail_bound), the shape _series returns:
     the cells summed and the bound on the parts outside them that value
     includes.  gamma is the covariance of N at params."""
-    a, b = _lattice_rates(params, tol)
+    a, b = max(params.alpha, params.beta), min(params.alpha, params.beta)
     if params.alpha < params.beta:
         gamma = gamma[::-1, ::-1]  # the covariance at (beta, alpha)
     angles = np.pi * np.arange(N_DIRECTIONS) / N_DIRECTIONS
@@ -335,55 +325,48 @@ def _lyapunov_lattice(params: ShapeParams, part_set: PartSet, gamma, tol: float 
     # c1 x1 + d x2 > 0 from x2 = floor(root x1) + 1 on; with d = 0 the sign is c1's
     root = np.divide(-c1, d, out=-np.sign(c1) * 2.0**60, where=d > 0)
     nonzero = part_set is PartSet.NONZERO_VECTORS
-    sums = np.zeros(N_DIRECTIONS)
-
-    def add(lo: float, hi: float) -> int:
-        """Add the cells with lo < a x1 + b x2 <= hi to sums; return their count."""
-        x1, start, n = _segments(a, b, nonzero, lo, hi)
-        total = np.zeros(n.size + 1, dtype=np.int64)
-        np.cumsum(n, out=total[1:])
-        i = 0
-        while i < n.size:
-            j = int(np.searchsorted(total, total[i] + BLOCK_CELLS, side="right")) - 1
-            off = total[i : j + 1] - total[i]
-            x1c = np.repeat(x1[i:j], n[i:j])
-            x2c = np.arange(off[-1]) + np.repeat(start[i:j] - off[:-1], n[i:j])
-            y = a * x1c + b * x2c
-            e = -np.expm1(-y)
-            # suffix moments S_p[k] = sum_{k' >= k} x1^{3-p} x2^p w over the block
-            terms = np.zeros((4, off[-1] + 1))
-            mono = terms[:, :-1]
-            mono[0] = 3.0 * np.exp(-y) / (e * e * e)
-            for p in (1, 2, 3):
-                mono[p] = mono[p - 1] * x2c
-            mono[:3] *= x1c
-            mono[:2] *= x1c
-            mono[0] *= x1c
-            suffix = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
-            # for every segment and t, the first cell past the root of c1 x1 + d x2
-            past = np.floor(root * x1[i:j, None]) + 1.0 - start[i:j, None]
-            split = (np.clip(past, 0.0, n[i:j, None]) + off[:-1, None]).astype(np.intp)
-            # sum over a segment of |.|^3 = 2 (part past the root) - (whole segment),
-            # each a difference of suffix moments; the segments fill the block
-            ends = suffix[:, off[1:]].sum(axis=1)
-            sums[:] += np.einsum(
-                "pk,pk->k",
-                coef,
-                2.0 * np.take(suffix, split, axis=1).sum(axis=1)
-                - (2.0 * ends + suffix[:, 0])[:, None],
-            )
-            i = j
-        return int(total[-1])
-
     # Holder with sum_x (t.x)^2 q/(1-q)^2 = t.Gamma t = 1 gives
     # sum_x |t.x|^3 w >= 3/sqrt(sum_x q) for every t, before any cell is summed
     holder = 3.0 / math.sqrt(_family_rates(a, b, nonzero, 1.0).sum())
-    _check_cells(_edge(0.5 * tol * holder, a, b, c), a, b)
-    cells = add(0.0, FIRST_K)
-    k = _edge(0.5 * tol * max(holder, float(sums.max())), a, b, c)
-    cells += add(FIRST_K, k)
+    k = _edge(0.5 * LYAPUNOV_TOL * holder, a, b, c)
+    _check_cells(k, a, b)
+    x1, start, n = _segments(a, b, nonzero, k)
+    total = np.zeros(n.size + 1, dtype=np.int64)
+    np.cumsum(n, out=total[1:])
+    sums = np.zeros(N_DIRECTIONS)
+    i = 0
+    while i < n.size:
+        j = int(np.searchsorted(total, total[i] + BLOCK_CELLS, side="right")) - 1
+        off = total[i : j + 1] - total[i]
+        x1c = np.repeat(x1[i:j], n[i:j])
+        x2c = np.arange(off[-1]) + np.repeat(start[i:j] - off[:-1], n[i:j])
+        y = a * x1c + b * x2c
+        e = -np.expm1(-y)
+        # suffix moments S_p[k] = sum_{k' >= k} x1^{3-p} x2^p w over the block
+        terms = np.zeros((4, off[-1] + 1))
+        mono = terms[:, :-1]
+        mono[0] = 3.0 * np.exp(-y) / (e * e * e)
+        for p in (1, 2, 3):
+            mono[p] = mono[p - 1] * x2c
+        mono[:3] *= x1c
+        mono[:2] *= x1c
+        mono[0] *= x1c
+        suffix = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
+        # for every segment and t, the first cell past the root of c1 x1 + d x2
+        past = np.floor(root * x1[i:j, None]) + 1.0 - start[i:j, None]
+        split = (np.clip(past, 0.0, n[i:j, None]) + off[:-1, None]).astype(np.intp)
+        # sum over a segment of |.|^3 = 2 (part past the root) - (whole segment),
+        # each a difference of suffix moments; the segments fill the block
+        ends = suffix[:, off[1:]].sum(axis=1)
+        sums += np.einsum(
+            "pk,pk->k",
+            coef,
+            2.0 * np.take(suffix, split, axis=1).sum(axis=1)
+            - (2.0 * ends + suffix[:, 0])[:, None],
+        )
+        i = j
     tail = _tail_bound(k, a, b, c)
-    return float(sums.max()) + tail, cells, tail
+    return float(sums.max()) + tail, int(total[-1]), tail
 
 
 # ---------------------------------------------------------------------------

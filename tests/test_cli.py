@@ -239,6 +239,16 @@ class TestCompare:
         assert code == 1 and out == ""
         assert err == "error: --t must be finite and positive, got inf\n"
 
+    def test_refused_table_writes_no_header(self, capsys, tmp_path):
+        # the count table is refused before any row, the header included, is written
+        argv = ["compare", "--parts", "strict", "--n2-grid", "100000000"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: table of ") and err.count("\n") == 1
+        path = tmp_path / "compare.csv"
+        assert run(capsys, *argv, "-o", str(path))[0] == 1
+        assert path.read_text() == ""
+
     @pytest.mark.parametrize("t", ["-1", "0", "-inf", "nan"])
     def test_non_positive_t_is_refused(self, capsys, t):
         # t = -1 used to put n1 = 1 at every grid point
@@ -359,12 +369,14 @@ class TestSample:
     [
         ["compare", "--parts", "strict", "--n2-grid", str(10**400)],
         ["sample", "--n1", "1", "--n2", str(10**400), "--parts", "strict"],
+        ["sample", "--n1", str(10**400), "--n2", "1", "--parts", "strict"],
     ],
 )
 def test_integer_too_large_for_a_float_is_reported(capsys, argv):
     code, out, err = run(capsys, *argv)
+    flag = argv[argv.index(str(10**400)) - 1]
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == f"error: {flag} has 401 digits, too large for a float\n"
 
 
 class TestLLT:
@@ -399,7 +411,7 @@ class TestLLT:
         assert payload["normalized_ratio"] == pytest.approx(
             2.0 * math.pi * math.sqrt(det) * math.exp(log_p), rel=1e-9
         )
-        # the Lyapunov bound's default tol is 1e-10
+        # the tail bound the value includes is below gibbs.LYAPUNOV_TOL = 1e-10 of it
         assert extras["lyapunov_cells"] > 0
         assert 0.0 <= extras["lyapunov_tail_bound"] <= 1e-10 * payload["lyapunov"]
 

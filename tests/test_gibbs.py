@@ -16,6 +16,8 @@ from bipartitions.calibration import ShapeParams, calibrate
 from bipartitions.exact_count import PartSet, Target, count_table
 from bipartitions.gibbs import (
     CHUNK_REPLICAS,
+    FIRST_K,
+    LYAPUNOV_TOL,
     MAX_LATTICE_CELLS,
     N_DIRECTIONS,
     SamplerSpec,
@@ -237,13 +239,34 @@ def dropped_cells(params: ShapeParams, part_set: PartSet, k: float, span: float 
     return float(sums.max())
 
 
-def assert_brackets_brute_force(params: ShapeParams, part_set: PartSet, tol: float = 1e-10):
+def assert_brackets_brute_force(params: ShapeParams, part_set: PartSet):
     gamma = np.array(gibbs_covariance(params, part_set))
-    value, cells, tail_bound = _lyapunov_lattice(params, part_set, gamma, tol)
+    value, cells, tail_bound = _lyapunov_lattice(params, part_set, gamma)
     brute = brute_lyapunov(params, part_set)
-    assert brute <= value <= brute * (1.0 + 2.0 * tol)
-    assert 0.0 <= tail_bound <= tol * value and cells > 0
-    assert value == lyapunov_bound(params, part_set, tol)
+    assert brute <= value <= brute * (1.0 + 2.0 * LYAPUNOV_TOL)
+    assert 0.0 <= tail_bound <= LYAPUNOV_TOL * value and cells > 0
+    assert value == lyapunov_bound(params, part_set)
+
+
+LATTICE_POINTS = [(0.8, 0.2), (0.2, 0.8), (1.2, 0.3), Target(10, 100)]
+
+
+def traced_lattice(point, part_set: PartSet, monkeypatch):
+    """One _lyapunov_lattice call at point (rates, or a target to calibrate),
+    as (params, calls, cells, tail_bound); calls holds the argument tuples of
+    each _edge and _segments call it made."""
+    params = calibrate(point, part_set).params if isinstance(point, Target) else (
+        ShapeParams(*point)
+    )
+    calls = {"_edge": [], "_segments": []}
+    for name, log in calls.items():
+        original = getattr(gibbs, name)
+        monkeypatch.setattr(
+            gibbs, name, lambda *args, f=original, log=log: log.append(args) or f(*args)
+        )
+    gamma = np.array(gibbs_covariance(params, part_set))
+    _, cells, tail = _lyapunov_lattice(params, part_set, gamma)
+    return params, calls, cells, tail
 
 
 class TestLyapunov:
@@ -270,14 +293,15 @@ class TestLyapunov:
             (PartSet.NONZERO_VECTORS, 2.17492840706945),
         ],
     )
-    def test_swap_symmetry(self, part_set, unswapped):
+    def test_swap_symmetry(self, part_set, unswapped, monkeypatch):
         # both part sets and the even direction grid are symmetric under
         # (x1, x2) -> (x2, x1); `unswapped` is the lattice sum at (0.2, 0.8)
         # without exchanging alpha and beta (strict: the power-series bound's
-        # value; nonzero: brute_lyapunov's); tol = 1e-13 keeps the tail bound
-        # the value includes below the rel = 1e-12 of the comparison
-        low = lyapunov_bound(ShapeParams(0.2, 0.8), part_set, tol=1e-13)
-        high = lyapunov_bound(ShapeParams(0.8, 0.2), part_set, tol=1e-13)
+        # value; nonzero: brute_lyapunov's); a tolerance of 1e-13 keeps the tail
+        # bound the value includes below the rel = 1e-12 of the comparison
+        monkeypatch.setattr(gibbs, "LYAPUNOV_TOL", 1e-13)
+        low = lyapunov_bound(ShapeParams(0.2, 0.8), part_set)
+        high = lyapunov_bound(ShapeParams(0.8, 0.2), part_set)
         assert low == pytest.approx(high, rel=1e-12)
         assert low == pytest.approx(unswapped, rel=1e-12)
 
@@ -309,14 +333,12 @@ class TestLyapunov:
     )
     def test_calibrated_values_pinned(self, part_set, target, previous):
         # `previous` is the bound of the row walk with row and column cuts that
-        # the region sum replaced; both lie within tol = 1e-10 above the lattice sum
+        # the region sum replaced; both lie within LYAPUNOV_TOL above the lattice sum
         params = calibrate(target, part_set).params
         assert lyapunov_bound(params, part_set) == pytest.approx(previous, rel=2e-10)
 
     @pytest.mark.parametrize("part_set", list(PartSet))
-    @pytest.mark.parametrize(
-        "point", [(0.8, 0.2), (0.2, 0.8), (1.2, 0.3), Target(10, 100)], ids=str
-    )
+    @pytest.mark.parametrize("point", LATTICE_POINTS, ids=str)
     def test_tail_bound_covers_dropped_cells(self, point, part_set):
         # T(k) is at least the parts with alpha x1 + beta x2 > k, summed directly
         # out to k + 40, at k = 8, 20 and the edge that the bound chose
@@ -333,6 +355,36 @@ class TestLyapunov:
         assert _tail_bound(chosen, a, b, c) == pytest.approx(tail, rel=1e-12)
         for k in (8, 20, chosen):
             assert dropped_cells(params, part_set, k) <= _tail_bound(k, a, b, c)
+
+    @pytest.mark.parametrize("part_set", list(PartSet))
+    @pytest.mark.parametrize("point", LATTICE_POINTS, ids=str)
+    def test_one_region_pass(self, point, part_set, monkeypatch):
+        # one call picks K once and sums the region R_K in one pass over its rows
+        _, calls, cells, _ = traced_lattice(point, part_set, monkeypatch)
+        assert len(calls["_edge"]) == 1 and len(calls["_segments"]) == 1
+        a, b, _, k = calls["_segments"][0]
+        # the cells are the parts with a x1 + b x2 <= k, up to rounding on the edge
+        x1, x2 = np.meshgrid(np.arange(k // a + 2), np.arange(k // b + 2), indexing="ij")
+        inside = (x1 > 0) & (x2 > 0) if part_set is PartSet.STRICT_POSITIVE else (x1 + x2 > 0)
+        y = a * x1[inside] + b * x2[inside]
+        assert (y <= k * (1.0 - 1e-12)).sum() <= cells <= (y <= k * (1.0 + 1e-12)).sum()
+
+    @pytest.mark.parametrize("part_set", list(PartSet))
+    @pytest.mark.parametrize("point", LATTICE_POINTS, ids=str)
+    def test_edge_from_holder_bound(self, point, part_set, monkeypatch):
+        # K is the smallest integer >= FIRST_K with T(K) <= LYAPUNOV_TOL/2 H, where
+        # H = 3/sqrt(sum_x q) is the Holder bound, known before any cell is summed
+        params, calls, _, tail = traced_lattice(point, part_set, monkeypatch)
+        a, b = max(params.alpha, params.beta), min(params.alpha, params.beta)
+        # sum_x q in closed form: G0(a) G0(b) strict, (1 + G0(a))(1 + G0(b)) - 1 nonzero
+        g0a, g0b = 1.0 / math.expm1(a), 1.0 / math.expm1(b)
+        sum_q = g0a * g0b if part_set is PartSet.STRICT_POSITIVE else g0a + g0b + g0a * g0b
+        target = 0.5 * LYAPUNOV_TOL * 3.0 / math.sqrt(sum_q)
+        c = calls["_edge"][-1][-1]  # the bound's majorant |t.x| <= c (a x1 + b x2)
+        k = calls["_segments"][-1][-1]
+        assert k == int(k) >= FIRST_K and _tail_bound(k, a, b, c) <= target
+        assert k == FIRST_K or _tail_bound(k - 1.0, a, b, c) > target
+        assert tail == _tail_bound(k, a, b, c)
 
     def test_upper_gammas_match_mpmath(self):
         for k in (3.0, 8.0, 20.0, 43.0, 100.0, 300.0):

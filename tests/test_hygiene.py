@@ -2,7 +2,9 @@
 private module-level name and every non-dunder method of the package is read
 somewhere in it, every public module-level name of a module is read by that
 module, or imported from it or read as module.name in the package or the bench
-(or is on TEST_ONLY_API), every dataclass field of the package is read as an
+(or is on TEST_ONLY_API), every defaulted parameter of a public function of
+the package is set by some call in the package or the bench (or is on
+TEST_ONLY_DEFAULTS), every dataclass field of the package is read as an
 attribute in the package, the bench or the tests, no module of the package
 reads the environment, and no line is longer than MAX_LINE characters."""
 
@@ -20,6 +22,12 @@ TEST_ONLY_API = {
     "rate_function": "read by tests/test_acceptance.py",
     "theta": "scalar Theta(alpha), read by tests/test_calibration.py",
     "lyapunov_bound": "read by tests/test_acceptance.py and tests/test_gibbs.py",
+}
+
+# defaulted parameters, as "function(parameter)", that only the tests set, and why
+TEST_ONLY_DEFAULTS = {
+    "sample_batch(tracked_parts)": "tracked multiplicities, criterion 8 in test_acceptance.py",
+    "theta(barred)": "the paper's barred Theta, read by tests/test_calibration.py",
 }
 
 
@@ -184,6 +192,78 @@ def test_no_test_only_public_names():
     assert sorted(unread - set(TEST_ONLY_API)) == []
     # an entry that the package or the bench reads, or that is gone, leaves the list
     assert sorted(set(TEST_ONLY_API) - unread) == []
+
+
+def defaulted_parameters(source: str) -> set[str]:
+    """The defaulted parameters of the source's public module-level functions,
+    each as "function(parameter)"."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            defaulted = positional[len(positional) - len(args.defaults) :]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found.update(f"{node.name}({a.arg})" for a in defaulted)
+    return found
+
+
+def signatures(source: str) -> dict[str, list[str]]:
+    """Parameter names, in order, of the source's public module-level functions."""
+    return {
+        node.name: [a.arg for a in [*node.args.posonlyargs, *node.args.args,
+                                    *node.args.kwonlyargs]]
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+
+
+def set_parameters(source: str, known: dict[str, list[str]]) -> set[str]:
+    """The parameters, each as "function(parameter)", that a call in the source
+    passes by keyword or by position to a function named in known (name ->
+    parameter names in order); a call with *args or **kwargs passes them all."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name not in known:
+            continue
+        params = known[name]
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+            k.arg is None for k in node.keywords
+        ):
+            passed = params
+        else:
+            passed = params[: len(node.args)] + [k.arg for k in node.keywords]
+        found.update(f"{name}({p})" for p in passed)
+    return found
+
+
+def test_default_detector():
+    source = (
+        "def f(a, b=1, *, c=2, d):\n    return a\n"
+        "def g(x=0, y=1):\n    return f(1, 2, d=3)\n"
+        "def _h(z=0):\n    return m.g(y=2)\n"
+    )
+    assert defaulted_parameters(source) == {"f(b)", "f(c)", "g(x)", "g(y)"}
+    assert set_parameters(source, signatures(source)) == {"f(a)", "f(b)", "f(d)", "g(y)"}
+    assert set_parameters("f(*xs)\ng(**kw)\n", signatures(source)) == {
+        "f(a)", "f(b)", "f(c)", "f(d)", "g(x)", "g(y)"
+    }
+
+
+def test_every_default_is_set():
+    # a default that no caller changes is a constant spelled as a parameter
+    modules = [path.read_text() for path in ROOT.glob("src/bipartitions/*.py")]
+    readers = [*modules, *(path.read_text() for path in ROOT.glob("bench/*.py"))]
+    assert modules and len(readers) > len(modules)
+    defaulted = set().union(*map(defaulted_parameters, modules))
+    names = {k: v for source in modules for k, v in signatures(source).items()}
+    unset = defaulted - set().union(*(set_parameters(r, names) for r in readers))
+    assert sorted(unset - set(TEST_ONLY_DEFAULTS)) == []
+    # an entry that the package or the bench sets, or that is gone, leaves the list
+    assert sorted(set(TEST_ONLY_DEFAULTS) - unset) == []
 
 
 def method_definitions(source: str) -> set[str]:
