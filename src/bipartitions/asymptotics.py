@@ -22,32 +22,24 @@ from .special_functions import (
 MAX_EXPANSION_ORDER = 8
 
 
-def _family_rates(a, b, nonzero: bool, r) -> np.ndarray:
-    """The r-th terms of log Z = sum_r sum_{x in X} e^{-r(a x1 + b x2)}/r, one
-    row per part family, in this order (`gibbs._chunks` relies on it): the
-    interior x1, x2 >= 1 at G0(a r) G0(b r)/r, then, for the nonzero set only,
-    the axis x2 = 0 at G0(a r)/r and the axis x1 = 0 at G0(b r)/r.  G0(x) is
-    taken as e^{-x}/(1 - e^{-x}), so a and b may be complex: past Re x ~ 709
-    it gives 0 where 1/expm1(x) would give nan."""
-    ga, gb = (np.exp(x) / -np.expm1(x) for x in (-a * r, -b * r))
-    return np.stack([ga * gb, ga, gb] if nonzero else [ga * gb]) / r
+def _log_z_terms(a, b, nonzero: bool, r, order: int) -> np.ndarray:
+    """Rows of the r-th terms of log Z = sum_r sum_{x in X} e^{-r(a x1 + b x2)}/r: first
+    r^{i+j-1} G_i(a r) G_j(b r), the derivative (-d/da)^i (-d/db)^j over x1, x2 >= 1, for
+    i + j = 0, 1, .., order <= 2 with i falling; then, for the nonzero set, the axes x2 = 0
+    and x1 = 0 at order 0 (`gibbs._chunks` relies on this order).  a, b may be complex."""
+    g = _geometric(np.multiply.outer([a, b], r), order)
+    h = [gk * r**k if k else gk for k, gk in enumerate(g)]  # r^k G_k
+    rows = [h[i][0] * h[n - i][1] for n in range(order + 1) for i in range(n, -1, -1)]
+    return np.stack(rows + [h[0][0], h[0][1]] if nonzero else rows) / r
 
 
 def _log_z_sums(params: ShapeParams, part_set: PartSet) -> tuple:
-    """(log Z, E N1, E N2, Var N1, Cov, Var N2), one r-pass per part family:
-    log Z = sum_r G0(a r) G0(b r)/r (+ Psi(a) + Psi(b) for the axis families),
-    and each derivative in a or b turns G_k into -r G_{k+1}."""
+    """(log Z, E N1, E N2, Var N1, Cov, Var N2): one r-pass over the order-2 rows of
+    `_log_z_terms`, plus Psi(a) + Psi(b) and its derivatives for the nonzero set's axes."""
     a, b = params.alpha, params.beta
-
-    def block(r):
-        a0, a1, a2 = _geometric(a * r)
-        b0, b1, b2 = _geometric(b * r)
-        return np.stack([a0 * b0 / r, a1 * b0, a0 * b1, r * a2 * b0, r * a1 * b1, r * a0 * b2])
-
-    sums = _series(block, a + b, 1.0)[0]
+    sums = _series(lambda r: _log_z_terms(a, b, False, r, 2), a + b, 1.0)[0]
     if part_set is PartSet.NONZERO_VECTORS:
-        pa, dpa, ddpa = _dirichlet_series(a, 1.0, 2)[0]
-        pb, dpb, ddpb = _dirichlet_series(b, 1.0, 2)[0]
+        (pa, pb), (dpa, dpb), (ddpa, ddpb) = _dirichlet_series([a, b], 1.0, 2)[0]
         axes = (pa + pb, -dpa, -dpb, ddpa, 0.0, ddpb)
         sums = [s + x for s, x in zip(sums, axes)]
     return tuple(sums)

@@ -118,7 +118,10 @@ def _check_float(flag: str, value: int) -> None:
 
 def cmd_compare(args, out: IO[str]) -> None:
     part_set = PartSet(args.parts)
-    grid = [int(v) for v in args.n2_grid.split(",") if v]
+    try:
+        grid = [int(v) for v in args.n2_grid.split(",") if v]
+    except ValueError as exc:
+        raise ValueError(f"--n2-grid: {exc}") from None
     if not (math.isfinite(args.t) and args.t > 0):
         raise ValueError(f"--t must be finite and positive, got {args.t}")
     for n2 in grid:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import _family_rates, _log_z_sums, gibbs_covariance
+from .asymptotics import _log_z_sums, _log_z_terms, gibbs_covariance
 from .calibration import ShapeParams, calibrate
 from .exact_count import PartSet, Target, count_table
 from .special_functions import _geometric, _series
@@ -59,7 +59,7 @@ class SampledPartition:
 
 def pair_rates(spec: SamplerSpec) -> tuple[np.ndarray, float]:
     """Rates lambda[f, r - 1] of the pairs (r, part) of each part family f
-    (the rows of `_family_rates`), cut in r, and a bound on the rate
+    (the order-0 rows of `_log_z_terms`), cut in r, and a bound on the rate
     sum_{r > cut} of the dropped pairs, which bounds the chance that one
     occurs and so the total-variation distance.  As G0(x + a) <= e^{-a} G0(x),
     the total shrinks by q = e^{-decay} per step.
@@ -67,14 +67,14 @@ def pair_rates(spec: SamplerSpec) -> tuple[np.ndarray, float]:
     a, b = spec.params.alpha, spec.params.beta
     nonzero = spec.part_set is PartSet.NONZERO_VECTORS
     decay = min(a, b) if nonzero else a + b
-    tail_factor = float(_geometric(decay)[0])  # q / (1 - q)
+    tail_factor = float(_geometric(decay, 0)[0])  # q / (1 - q)
     # lambda_r <= lambda_1 q^{r-1}, so the cut comes no later than max_r
-    first_tail = float(_family_rates(a, b, nonzero, 1.0).sum()) * tail_factor
+    first_tail = float(_log_z_terms(a, b, nonzero, 1.0, 0).sum()) * tail_factor
     max_r = 2 + math.ceil(math.log(max(first_tail / spec.tv_budget, 1.0)) / decay)
     if max_r > MAX_RATE_TERMS:
         msg = f"tv_budget {spec.tv_budget!r} may need {max_r} terms of r, above {MAX_RATE_TERMS}"
         raise TruncationError(msg)
-    table = _family_rates(a, b, nonzero, np.arange(1.0, max_r + 1.0))
+    table = _log_z_terms(a, b, nonzero, np.arange(1.0, max_r + 1.0), 0)
     tails = table.sum(axis=0) * tail_factor
     cut = int(np.flatnonzero(tails < spec.tv_budget)[0])
     return table[:, : cut + 1], float(tails[cut])
@@ -170,8 +170,8 @@ def char_fn(params: ShapeParams, part_set: PartSet, t: tuple[float, float]) -> c
     nonzero = part_set is PartSet.NONZERO_VECTORS
 
     def block(r: np.ndarray) -> np.ndarray:
-        shifted = _family_rates(complex(a, -t1), complex(b, -t2), nonzero, r).sum(0)
-        real = _family_rates(a, b, nonzero, r).sum(0)
+        shifted = _log_z_terms(complex(a, -t1), complex(b, -t2), nonzero, r, 0).sum(0)
+        real = _log_z_terms(a, b, nonzero, r, 0).sum(0)
         # each shifted term is at most its real one in modulus, so twice the
         # real sum majorises the term and shrinks by e^{-decay} per step
         return np.stack([shifted - real, 2.0 * real])
@@ -181,14 +181,12 @@ def char_fn(params: ShapeParams, part_set: PartSet, t: tuple[float, float]) -> c
 
 
 def char_fn_bound(params: ShapeParams, t: tuple[float, float]) -> float:
-    """Elementary product bound on |phi| for the strict part set."""
+    """Elementary product bound on |phi| for the strict part set:
+    exp(|G0(a - i t1) G0(b - i t2)| - G0(a) G0(b)), the interior terms at r = 1."""
     a, b = params.alpha, params.beta
     t1, t2 = t
-    return math.exp(
-        1.0
-        / (abs(math.exp(a) - np.exp(1j * t1)) * abs(math.exp(b) - np.exp(1j * t2)))
-        - 1.0 / (math.expm1(a) * math.expm1(b))
-    )
+    shifted = _log_z_terms(complex(a, -t1), complex(b, -t2), False, 1.0, 0)[0]
+    return math.exp(abs(shifted) - _log_z_terms(a, b, False, 1.0, 0)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +325,7 @@ def _lyapunov_lattice(params: ShapeParams, part_set: PartSet, gamma):
     nonzero = part_set is PartSet.NONZERO_VECTORS
     # Holder with sum_x (t.x)^2 q/(1-q)^2 = t.Gamma t = 1 gives
     # sum_x |t.x|^3 w >= 3/sqrt(sum_x q) for every t, before any cell is summed
-    holder = 3.0 / math.sqrt(_family_rates(a, b, nonzero, 1.0).sum())
+    holder = 3.0 / math.sqrt(_log_z_terms(a, b, nonzero, 1.0, 0).sum())
     k = _edge(0.5 * LYAPUNOV_TOL * holder, a, b, c)
     _check_cells(k, a, b)
     x1, start, n = _segments(a, b, nonzero, k)
@@ -340,12 +338,11 @@ def _lyapunov_lattice(params: ShapeParams, part_set: PartSet, gamma):
         off = total[i : j + 1] - total[i]
         x1c = np.repeat(x1[i:j], n[i:j])
         x2c = np.arange(off[-1]) + np.repeat(start[i:j] - off[:-1], n[i:j])
-        y = a * x1c + b * x2c
-        e = -np.expm1(-y)
         # suffix moments S_p[k] = sum_{k' >= k} x1^{3-p} x2^p w over the block
         terms = np.zeros((4, off[-1] + 1))
         mono = terms[:, :-1]
-        mono[0] = 3.0 * np.exp(-y) / (e * e * e)
+        g0, g1 = _geometric(a * x1c + b * x2c, 1)
+        mono[0] = 3.0 * g1 * (1.0 + g0)  # w = 3q/(1-q)^3 at q = e^{-(a x1 + b x2)}
         for p in (1, 2, 3):
             mono[p] = mono[p - 1] * x2c
         mono[:3] *= x1c

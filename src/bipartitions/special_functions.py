@@ -67,14 +67,19 @@ def _check_alpha(alpha) -> None:
         raise ValueError(f"alpha must be a finite positive real, got {alpha!r}")
 
 
-def _geometric(x):
-    """(G0, G1, G2) at x > 0: G0 = 1/(e^x - 1) = sum_{k>=1} e^{-kx}, G1 = -G0',
-    G2 = -G1'; expm1 keeps them accurate as x -> 0 and lets them reach 0.
-    """
-    with np.errstate(over="ignore"):
-        g0 = 1.0 / np.expm1(x)
-    g1 = g0 * (1.0 + g0)
-    return g0, g1, g1 * (1.0 + 2.0 * g0)
+def _geometric(x, order: int) -> list:
+    """[G0, ..., G_order] at x, order <= 2, with G0 = 1/(e^x - 1) = sum_{k>=1} e^{-kx} and
+    G_{k+1} = -G_k'.  Real x takes expm1: accurate as x -> 0, exactly 0 past x ~ 709.78.
+    Complex x (Re x > 0) takes e^{-x}/(1 - e^{-x}), 0 far out, where 1/expm1 is nan."""
+    if np.iscomplexobj(x):
+        m = -x
+        g = [np.exp(m) / -np.expm1(m)]
+    else:
+        with np.errstate(over="ignore"):
+            g = [1.0 / np.expm1(x)]
+    for k in range(order):  # -d/dx = G0 (1 + G0) d/dG0 gives G_{k+1} = G_k (1 + (k+1) G0), k <= 1
+        g.append(g[k] * (1.0 + (k + 1.0) * g[0]))
+    return g
 
 
 def _series(block, decay: float, growth: float):
@@ -171,7 +176,7 @@ def _dirichlet_series(alpha, s: float, order: int):
     _check_alpha(alpha)
     a = np.asarray(alpha, dtype=float)
     flat = a.reshape(-1)
-    unit = np.maximum(np.minimum(np.exp(-flat) / -np.expm1(-flat), 1.0), _TINY)  # G0, no overflow
+    unit = np.maximum(np.minimum(_geometric(flat, 0)[0], 1.0), _TINY)
     bound = _closed_form_bound(flat, s, order)
     closed = bound <= DEFAULT_TOL * unit
     direct = ~closed
@@ -191,7 +196,7 @@ def _dirichlet_series(alpha, s: float, order: int):
         k = np.arange(order + 1.0)[:, None]
 
         def block(r):
-            g = np.stack(_geometric(a_col * r)[: order + 1])
+            g = np.stack(_geometric(a_col * r, order))
             g *= ((-1.0) ** k * r ** (k - s))[:, None]
             g /= unit_col
             return g

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bipartitions.asymptotics import (
     MAX_EXPANSION_ORDER,
-    _family_rates,
+    _log_z_terms,
     gibbs_covariance,
     gibbs_mean,
     log_z_direct,
@@ -38,7 +38,7 @@ def brute_force_log_z(a: float, b: float, part_set: PartSet) -> float:
     return total
 
 
-class TestFamilyRates:
+class TestLogZTerms:
     BOX = 200  # coordinates 0..BOX; Re alpha, Re beta >= 0.3 drop below e^{-60}
 
     @pytest.mark.parametrize(
@@ -60,20 +60,41 @@ class TestFamilyRates:
         ga, gb = (1.0 / math.expm1(s.real) for s in (a, b))
         cut = math.exp(-a.real * self.BOX) + math.exp(-b.real * self.BOX)
         tail = cut * (1.0 + ga) * (1.0 + gb)
-        rows = _family_rates(a, b, nonzero, 1.0)
+        rows = _log_z_terms(a, b, nonzero, 1.0, 0)
         assert rows.shape == (len(brute),)
         for row, direct in zip(rows, brute):
             assert abs(row - direct) <= tail + 1e-14 * abs(direct)
         assert abs(rows.sum() - sum(brute)) <= tail + 1e-14 * sum(map(abs, brute))
+
+    @pytest.mark.parametrize(
+        "a, b", [(0.7, 0.4), (2.5, 0.3), (complex(0.7, -1.3), complex(0.4, 2.9))]
+    )
+    def test_moment_rows_match_brute_force_sums(self, a, b):
+        """At r = 1 and order 2 the row (i, j) is the moment
+        sum_x x1^i x2^j e^{-(alpha x1 + beta x2)} over the interior x1, x2 >= 1,
+        in the order (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)."""
+        x = np.arange(1, self.BOX + 1)
+        ea, eb = np.exp(-a * x), np.exp(-b * x)
+        rows = _log_z_terms(a, b, False, 1.0, 2)
+        moments = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+        assert rows.shape == (len(moments),)
+        # sum_{x > BOX} x^i e^{-s x} <= (BOX + 1)^i e^{-s BOX} G_i(s) for s = Re a,
+        # Re b, and G_i <= m = 2 G0 (1 + G0)^2 for i <= 2
+        m = [2.0 * g * (1.0 + g) ** 2 for g in (1.0 / math.expm1(s.real) for s in (a, b))]
+        cut = math.exp(-a.real * self.BOX) + math.exp(-b.real * self.BOX)
+        tail = (self.BOX + 1) ** 2 * cut * m[0] * m[1]
+        for row, (i, j) in zip(rows, moments):
+            terms = np.outer(x**i * ea, x**j * eb)
+            assert abs(row - terms.sum()) <= tail + 1e-14 * np.abs(terms).sum()
 
     @pytest.mark.parametrize("part_set", list(PartSet))
     def test_far_terms_are_zero_not_nan(self, part_set):
         # Re(alpha r) runs past 709, where 1/expm1 of a complex argument is nan
         nonzero = part_set is PartSet.NONZERO_VECTORS
         r = np.arange(1.0, 2001.0)
-        rows = _family_rates(complex(0.5, -2.0), complex(3.0, 1.0), nonzero, r)
+        rows = _log_z_terms(complex(0.5, -2.0), complex(3.0, 1.0), nonzero, r, 0)
         assert np.isfinite(rows).all() and not rows[:, -1].any()
-        assert np.isfinite(_family_rates(720.0, 0.5, nonzero, r)).all()
+        assert np.isfinite(_log_z_terms(720.0, 0.5, nonzero, r, 0)).all()
 
 
 class TestLogZDirect:

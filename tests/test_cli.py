@@ -239,6 +239,12 @@ class TestCompare:
         assert code == 1 and out == ""
         assert err == "error: --t must be finite and positive, got inf\n"
 
+    @pytest.mark.parametrize("value", ["a", "1.5"])
+    def test_non_integer_grid_value_is_named(self, capsys, value):
+        code, out, err = run(capsys, "compare", "--parts", "strict", "--n2-grid", f"25,{value}")
+        assert code == 1 and out == ""
+        assert err == f"error: --n2-grid: invalid literal for int() with base 10: '{value}'\n"
+
     def test_refused_table_writes_no_header(self, capsys, tmp_path):
         # the count table is refused before any row, the header included, is written
         argv = ["compare", "--parts", "strict", "--n2-grid", "100000000"]

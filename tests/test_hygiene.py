@@ -6,7 +6,8 @@ module, or imported from it or read as module.name in the package or the bench
 the package is set by some call in the package or the bench (or is on
 TEST_ONLY_DEFAULTS), every dataclass field of the package is read as an
 attribute in the package, the bench or the tests, no module of the package
-reads the environment, and no line is longer than MAX_LINE characters."""
+reads the environment, only EXPM1_CALLERS call expm1, and no line is longer
+than MAX_LINE characters."""
 
 import ast
 from pathlib import Path
@@ -375,3 +376,44 @@ def test_no_environment_reads():
         if (names := environment_reads(path.read_text()))
     }
     assert found == {}
+
+
+# the functions of the package that may call expm1: the geometric factor
+# G0 = 1/(e^x - 1) and its derivatives, and the Lyapunov tail bound, whose
+# (1 - e^{-k})^3 bounds a weight rather than evaluating one
+EXPM1_CALLERS = {"_geometric", "_tail_bound"}
+
+
+def expm1_callers(source: str) -> set[str]:
+    """Names of the innermost functions that call expm1, as f(x) or m.expm1(x)."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Call) and "expm1" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            found.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_expm1_detector():
+    source = (
+        "import math\nfrom numpy import expm1\nx = math.expm1(1.0)\n"
+        "def f(y):\n    def g(z):\n        return np.expm1(z)\n    return g(y)\n"
+        "def h(y):\n    return expm1(y) + np.exp(y)\ndef k(y):\n    return y.expm1\n"
+    )
+    assert expm1_callers(source) == {None, "g", "h"}
+
+
+def test_geometric_factor_in_one_place():
+    # G0 is evaluated only by special_functions._geometric, so its accuracy
+    # and range past x ~ 709.78 are set in one place
+    sources = [path.read_text() for path in ROOT.glob("src/bipartitions/*.py")]
+    assert sources
+    assert set().union(*map(expm1_callers, sources)) == EXPM1_CALLERS

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from bipartitions import special_functions
 from bipartitions.special_functions import (
+    _geometric,
     _phi_and_derivatives,
     bernoulli,
     delta,
@@ -34,6 +36,32 @@ def phi_lambert(alpha: float) -> float:
     m = np.arange(1, M + 1, dtype=float)
     sigma = np.array([sigma2(k) for k in range(1, M + 1)], dtype=float)
     return float(np.sum(sigma / (m * m) * np.exp(-alpha * m)))
+
+
+class TestGeometric:
+    @pytest.mark.parametrize("x", [
+        1e-8, 1e-3, 0.5, 1.0, 10.0, 100.0, 700.0, complex(1e-6, -1e-6),
+        complex(0.01, 0.004), complex(1e-3, 2.0), complex(0.5, -1.3), complex(3.0, 7.0),
+        complex(40.0, -0.2), complex(700.0, 1.0),
+    ])
+    def test_against_mpmath(self, x):
+        # G_k = (-d/dx)^k 1/(e^x - 1), differentiated by mpmath at 60 digits
+        rows = _geometric(np.array([x]), 2)
+        assert len(rows) == 3
+        with mpmath.workdps(60):
+            for k, row in enumerate(rows):
+                exact = complex((-1) ** k * mpmath.diff(lambda y: 1 / mpmath.expm1(y), x, k))
+                assert abs(row[0] - exact) <= 2e-15 * abs(exact)
+
+    def test_rows_up_to_order(self):
+        assert [len(_geometric(1.0, k)) for k in range(3)] == [1, 2, 3]
+
+    def test_far_out(self):
+        # real x past ~709.78 gives exactly 0, as 1/expm1 does; complex x stays finite
+        for x in (710.0, 740.0):
+            assert [float(g) for g in _geometric(x, 2)] == [0.0, 0.0, 0.0]
+        rows = _geometric(np.array([complex(800.0, 3.0), complex(800.0, -1e3)]), 2)
+        assert all(np.isfinite(g).all() and not g.any() for g in rows)
 
 
 class TestPhi:
