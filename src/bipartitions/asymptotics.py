@@ -16,7 +16,7 @@ import numpy as np
 from .calibration import ShapeParams, calibrate, theta_roots
 from .exact_count import PartSet, Target
 from .special_functions import (
-    _dirichlet_series, _geometric, _series, delta, dirichlet, psi, zeta_neg,
+    _dirichlet_series, _geometric, _series, dirichlet, psi, zeta_neg,
 )
 
 MAX_EXPANSION_ORDER = 8
@@ -75,17 +75,12 @@ def log_z_expansion(params: ShapeParams, part_set: PartSet, m: int) -> LogZExpan
         raise ValueError("the residue expansion applies to the strict part set only")
     a, b = params.alpha, params.beta
     leading = dirichlet(a, 2.0) / b
-    terms = []
-    factorial = 1
-    for k in range(m + 1):
-        if k > 0:
-            factorial *= k
-        zk = zeta_neg(k)
-        if zk == 0:
-            terms.append(0.0)
-            continue
-        sign = -1.0 if k % 2 else 1.0
-        terms.append(sign * float(zk) * dirichlet(a, 1.0 - k) * b**k / factorial)
+    # zeta(-k) = 0 for even k >= 2, and those terms take no series pass
+    zetas = [(-1) ** k * zeta_neg(k) for k in range(m + 1)]
+    terms = [
+        float(z) * dirichlet(a, 1.0 - k) * b**k / math.factorial(k) if z else 0.0
+        for k, z in enumerate(zetas)
+    ]
     value = leading + math.fsum(terms)
     return LogZExpansion(leading=leading, terms=tuple(terms), value=value)
 
@@ -117,24 +112,24 @@ def theorem_estimate(target: Target, part_set: PartSet) -> AsymptoticEstimate:
 
     With beta = sqrt(P(alpha)/n2), P = Phi (+ pi^2/6 for the nonzero set), the
     exponent (alpha t + 2 sqrt(P)) sqrt(n2) is alpha n1 + 2 beta n2 and
-    log(P/n2) is 2 log beta, so P is the calibration's own.
+    log(P/n2) is 2 log beta, so P is the calibration's own, and so is Delta.
     """
-    params = calibrate(target, part_set).params
-    alpha, beta = params.alpha, params.beta
+    cal = calibrate(target, part_set)
+    alpha, beta = cal.params.alpha, cal.params.beta
     exponent = alpha * target.n1 + 2.0 * beta * target.n2
     if part_set is PartSet.STRICT_POSITIVE:
         log_prefactor = (
             -math.log(2.0 * math.pi)
             + 2.0 * math.log(beta)
             - 0.5 * psi(alpha)
-            - 0.5 * math.log(delta(alpha, barred=False))
+            - 0.5 * math.log(cal.delta)
         )
     else:
         log_prefactor = (
             -1.5 * math.log(2.0 * math.pi)
             + 2.5 * math.log(beta)
             + 0.5 * psi(alpha)
-            - 0.5 * math.log(delta(alpha, barred=True))
+            - 0.5 * math.log(cal.delta)
         )
     return AsymptoticEstimate(
         log_value=exponent + log_prefactor,
@@ -146,7 +141,7 @@ def theorem_estimate(target: Target, part_set: PartSet) -> AsymptoticEstimate:
 def _rates(t_grid, part_set: PartSet) -> np.ndarray:
     """alpha t + 2 sqrt(P(alpha)) at each ratio, from one batched root search."""
     t = np.asarray(t_grid, dtype=float)
-    alpha, p, _ = theta_roots(t, part_set is PartSet.NONZERO_VECTORS)
+    alpha, p, _, _ = theta_roots(t, part_set is PartSet.NONZERO_VECTORS)
     return alpha * t + 2.0 * np.sqrt(p)
 
 

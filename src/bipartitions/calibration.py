@@ -40,11 +40,12 @@ class ShapeParams:
 class CalibrationResult:
     params: ShapeParams
     residuals: tuple[float, float]  # relative defects of the two equations
+    delta: float  # beta^4 times the Jacobian of the two equations in (alpha, beta)
 
 
 def theta_roots(t, barred: bool):
-    """(alpha, P, Phi') at the root of Theta(alpha) = t for each ratio of t,
-    P = Phi (+ pi^2/6 if barred) and Phi' from the pass that accepted it.
+    """Rows (alpha, P, Phi', Phi'') at the root of Theta(alpha) = t for each
+    ratio of t, P = Phi (+ pi^2/6 if barred), from the pass that accepted it.
 
     One safeguarded Newton loop from alpha = 1 over all unconverged ratios,
     one stacked (Phi, Phi', Phi'') pass per step.  Theta falls from +inf to 0,
@@ -62,9 +63,9 @@ def theta_roots(t, barred: bool):
     if bad.any():
         raise ValueError(f"target ratio must be a positive real, got {t[bad][0].item()!r}")
     n = t.size
-    alpha, p_root, dp_root = np.ones(n), np.empty(n), np.empty(n)
+    roots = np.empty((4, n))
     # the unconverged ratios: index, ratio, alpha, bracket, Theta(hi) - ratio
-    i, ti, x, lo, hi, f_hi = np.arange(n), t, alpha.copy(), np.zeros(n), np.full(n, np.inf), -t
+    i, ti, x, lo, hi, f_hi = np.arange(n), t, np.ones(n), np.zeros(n), np.full(n, np.inf), -t
 
     def failure(message, k):
         bracket = (lo[k].item(), hi[k].item())
@@ -72,7 +73,7 @@ def theta_roots(t, barred: bool):
 
     for _ in range(MAX_ITER):
         if not i.size:
-            return alpha, p_root, dp_root
+            return roots
         if x.min() < 1e-12:
             raise failure("root for target ratio {!r} lies below alpha = 1e-12", x.argmin())
         # passes of at most MAX_STACK ratios bound the memory of a series block
@@ -99,8 +100,7 @@ def theta_roots(t, barred: bool):
             lost = np.flatnonzero(done & ~converged & ~(f_hi > -ti))
             if lost.size:
                 raise failure("target ratio {!r} is too small for double precision", lost[0])
-            j = i[done]
-            alpha[j], p_root[j], dp_root[j] = x[done], p[done], dp[done]
+            roots[:, i[done]] = np.stack([x, p, dp, ddp])[:, done]
             keep = ~done
             i, ti, step, lo, hi, f_hi = (v[keep] for v in (i, ti, step, lo, hi, f_hi))
         x = step
@@ -113,13 +113,14 @@ def calibrate(target: Target, part_set: PartSet) -> CalibrationResult:
     alpha solves Theta(alpha) = n1/sqrt(n2); beta is set from the stabler
     equation beta = sqrt(P(alpha)/n2) (P from the root's series pass), and
     the first equation -Phi'(alpha)/beta = n1 is reported as a residual check.
+    Delta = 2 P Phi'' - Phi'^2 comes from the same pass.
     """
     if target.n1 < 1 or target.n2 < 1:
         raise ValueError(f"calibration requires n1, n2 >= 1, got {target}")
     barred = part_set is PartSet.NONZERO_VECTORS
     t = target.n1 / math.sqrt(target.n2)
-    alpha, p, dp = (v.item() for v in theta_roots(t, barred))
+    alpha, p, dp, ddp = (v.item() for v in theta_roots(t, barred))
     beta = math.sqrt(p / target.n2)
     r1 = abs(-dp / beta - target.n1) / target.n1
     r2 = abs(p / beta**2 - target.n2) / target.n2
-    return CalibrationResult(params=ShapeParams(alpha=alpha, beta=beta), residuals=(r1, r2))
+    return CalibrationResult(ShapeParams(alpha, beta), (r1, r2), 2.0 * p * ddp - dp * dp)

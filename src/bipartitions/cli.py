@@ -95,6 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_count(args, out: IO[str]) -> None:
     part_set = PartSet(args.parts)
+    _check_float("n1", args.n1)
+    _check_float("n2", args.n2)
     table = count_table(part_set, args.n1, args.n2)
     if args.table:
         table.to_csv(out)
@@ -194,6 +196,8 @@ def cmd_sample(args, out: IO[str]) -> None:
 
 def cmd_llt(args, out: IO[str]) -> None:
     part_set = PartSet(args.parts)
+    _check_float("n1", args.n1)
+    _check_float("n2", args.n2)
     out.write(json.dumps(llt_check(Target(args.n1, args.n2), part_set)) + "\n")
 
 

@@ -45,6 +45,8 @@ class SamplerSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if not (0 < self.tv_budget <= 1e-3):
             raise TruncationError(
                 f"tv_budget must lie in (0, 1e-3], got {self.tv_budget!r}"
@@ -77,7 +79,7 @@ def pair_rates(spec: SamplerSpec) -> tuple[np.ndarray, float]:
     table = _log_z_terms(a, b, nonzero, np.arange(1.0, max_r + 1.0), 0)
     tails = table.sum(axis=0) * tail_factor
     cut = int(np.flatnonzero(tails < spec.tv_budget)[0])
-    return table[:, : cut + 1], float(tails[cut])
+    return table[:, : cut + 1].copy(), float(tails[cut])  # frees the columns past the cut
 
 
 def _chunks(spec: SamplerSpec, first: int, stop: int):
@@ -111,6 +113,8 @@ def _chunks(spec: SamplerSpec, first: int, stop: int):
 
 def samples(spec: SamplerSpec, first: int, stop: int):
     """Replicas first..stop-1 as partitions, drawing each chunk once."""
+    if first < 0:
+        raise ValueError(f"replica index must be >= 0, got {first!r}")
     for base, bounds, r, x1, x2 in _chunks(spec, first, stop):
         for j in range(max(first - base, 0), min(stop - base, CHUNK_REPLICAS)):
             pairs = slice(bounds[j], bounds[j + 1])
@@ -139,6 +143,8 @@ def sample_batch(spec: SamplerSpec, reps: int, tracked_parts: tuple = ()) -> Bat
 
     A tracked part's multiplicity is the sum of r over the pairs on it.
     """
+    if reps < 0:
+        raise ValueError(f"reps must be >= 0, got {reps!r}")
     lowest = 0 if spec.part_set is PartSet.NONZERO_VECTORS else 1
     for p in tracked_parts:
         if min(p) < lowest or tuple(p) == (0, 0):

@@ -1,5 +1,5 @@
-"""Auxiliary series evaluators: Phi, Psi, Theta, Delta, the Dirichlet-type
-sums D_alpha(s), the squared-divisor function, and exact zeta values at
+"""Auxiliary series evaluators: Phi, Psi, Theta, the Dirichlet-type sums
+D_alpha(s), the squared-divisor function, and exact zeta values at
 non-positive integers via Bernoulli numbers.
 
 Every infinite r-series of the package is summed by one numpy-blocked kernel,
@@ -282,10 +282,3 @@ def theta(alpha: float, barred: bool = False) -> float:
         raise ValueError(f"Phi({alpha!r}) underflows to 0.0, so Theta is not representable")
     return -dp / denom
 
-
-def delta(alpha: float, barred: bool = False) -> float:
-    """Delta(alpha) = 2 Phi Phi'' - Phi'^2 (barred: Phi-bar in the product)."""
-    p, dp, ddp = _phi_and_derivatives(alpha)
-    if barred:
-        p += ZETA2
-    return 2.0 * p * ddp - dp * dp

@@ -30,7 +30,6 @@ from bipartitions.exact_count import (
     count_table,
 )
 from bipartitions.gibbs import SamplerSpec, llt_check, lyapunov_bound, sample_batch
-from bipartitions.special_functions import delta
 
 GRID_N2 = (100, 225, 400, 625, 900)
 
@@ -240,7 +239,7 @@ def test_criterion_7_scaling_diagnostics(capsys):
         det_ratios.append(
             float(np.linalg.det(gamma))
             * cal.params.beta**4
-            / delta(cal.params.alpha)
+            / cal.delta
         )
     for name, values in (("sigma^2/n1", sigma_band), ("L*sqrt(n1)", lyap_band)):
         if max(values) / min(values) >= 10.0:

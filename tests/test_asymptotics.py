@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bipartitions import asymptotics, special_functions
 from bipartitions.asymptotics import (
     MAX_EXPANSION_ORDER,
     _log_z_terms,
@@ -21,7 +22,7 @@ from bipartitions.asymptotics import (
 from bipartitions.calibration import ShapeParams, calibrate
 from bipartitions.exact_count import PartSet, Target, count_table
 from bipartitions.formal_series import corollary2_coeffs, corollary3_coeffs
-from bipartitions.special_functions import ZETA2, dirichlet, phi, psi
+from bipartitions.special_functions import ZETA2, _dirichlet_series, dirichlet, phi, psi
 
 
 def brute_force_log_z(a: float, b: float, part_set: PartSet) -> float:
@@ -236,6 +237,26 @@ class TestTheoremEstimate:
         assert exponent == pytest.approx(
             params.alpha * n1 + 2.0 * params.beta * n2, rel=1e-15, abs=0.0
         )
+
+    @pytest.mark.parametrize("part_set", list(PartSet))
+    @pytest.mark.parametrize("n1, n2", [(10, 100), (3, 3600), (1000, 10**6)])
+    def test_one_pass_past_calibration(self, part_set, n1, n2, monkeypatch):
+        # Delta comes from the pass that accepted the root, so the prefactor
+        # adds only Psi's pass, and no (s, alpha) pass is made twice
+        calls = []
+
+        def recorded(alpha, s, order):
+            calls.append((s, tuple(np.ravel(alpha).tolist())))
+            return _dirichlet_series(alpha, s, order)
+
+        monkeypatch.setattr(special_functions, "_dirichlet_series", recorded)
+        monkeypatch.setattr(asymptotics, "_dirichlet_series", recorded)
+        calibrate(Target(n1, n2), part_set)
+        calibrate_passes = len(calls)
+        calls.clear()
+        theorem_estimate(Target(n1, n2), part_set)
+        assert len(calls) == calibrate_passes + 1
+        assert len(set(calls)) == len(calls)
 
 
 class TestRates:

@@ -18,10 +18,12 @@ from bipartitions.calibration import (
     theta_roots,
 )
 from bipartitions.exact_count import PartSet, Target
-from bipartitions.special_functions import _phi_and_derivatives, theta
+from bipartitions.special_functions import ZETA2, _phi_and_derivatives, theta
 
 # the 100-point default `bipart rates` grid plus three extreme ratios
 GRID = [0.01 + i * (4.0 - 0.01) / 99 for i in range(100)] + [1e-3, 50.0, 1e5]
+# roots from alpha ~ 0.1 to ~ 14, on both sides of the closed forms' alpha = 1/2
+DELTA_TARGETS = [Target(20, 400), Target(1000, 10**6), Target(1, 10**6), Target(300, 100)]
 
 
 def count_series_passes(monkeypatch) -> list:
@@ -137,16 +139,8 @@ class TestSolveTheta:
     def test_series_passes(self, monkeypatch):
         # the 100-point default `bipart rates` grid plus three extreme ratios,
         # both variants: 206 solves in fewer than 2000 (Phi, Phi', Phi'') passes
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return _phi_and_derivatives(*args, **kwargs)
-
-        monkeypatch.setattr(special_functions, "_phi_and_derivatives", counted)
-        monkeypatch.setattr(calibration, "_phi_and_derivatives", counted)
-        grid = [0.01 + i * (4.0 - 0.01) / 99 for i in range(100)] + [1e-3, 50.0, 1e5]
-        roots = [(t, b, theta_roots(t, b)[0].item()) for b in (False, True) for t in grid]
+        calls = count_series_passes(monkeypatch)
+        roots = [(t, b, theta_roots(t, b)[0].item()) for b in (False, True) for t in GRID]
         assert len(calls) < 2000
         for t, barred, alpha in roots:
             assert theta(alpha, barred) == pytest.approx(t, rel=1e-10)
@@ -199,6 +193,34 @@ class TestCalibrate:
             )
         assert errors[0] > errors[1] > errors[2]
         assert errors[-1] < 0.01
+
+    @pytest.mark.parametrize("part_set", list(PartSet))
+    @pytest.mark.parametrize("target", DELTA_TARGETS)
+    def test_delta_from_the_root_pass(self, target, part_set):
+        # alpha < 1/2 at (300, 100), where Phi comes from the closed form
+        cal = calibrate(target, part_set)
+        p, dp, ddp = _phi_and_derivatives(cal.params.alpha)
+        if part_set is PartSet.NONZERO_VECTORS:
+            p += ZETA2
+        assert cal.delta == 2.0 * p * ddp - dp * dp
+
+    @pytest.mark.parametrize("part_set", list(PartSet))
+    @pytest.mark.parametrize("target", DELTA_TARGETS)
+    def test_delta_is_the_jacobian(self, target, part_set):
+        # Delta/beta^4 is the Jacobian of (n1, n2) = (-Phi'/beta, P/beta^2)
+        cal = calibrate(target, part_set)
+        alpha, beta = cal.params.alpha, cal.params.beta
+        zeta2 = ZETA2 if part_set is PartSet.NONZERO_VECTORS else 0.0
+
+        def equations(a, b):
+            p, dp, _ = _phi_and_derivatives(a)
+            return np.array([-dp / b, (p + zeta2) / b**2])
+
+        ha, hb = 1e-5 * alpha, 1e-5 * beta
+        d_alpha = (equations(alpha + ha, beta) - equations(alpha - ha, beta)) / (2.0 * ha)
+        d_beta = (equations(alpha, beta + hb) - equations(alpha, beta - hb)) / (2.0 * hb)
+        jacobian = np.linalg.det(np.column_stack([d_alpha, d_beta]))
+        assert cal.delta / beta**4 == pytest.approx(jacobian, rel=1e-6)
 
     def test_requires_positive_target(self):
         with pytest.raises(ValueError):

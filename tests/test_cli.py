@@ -361,6 +361,13 @@ class TestSample:
         assert err.startswith("error: --reps 1000000000 at log Z")
         assert str(cli.MAX_SAMPLE_PAIRS) in err and err.count("\n") == 1
 
+    def test_negative_seed_is_reported(self, capsys):
+        code, out, err = run(
+            capsys, "sample", "--n1", "10", "--n2", "400", "--parts", "strict", "--seed", "-1"
+        )
+        assert code == 1 and out == ""
+        assert err == "error: seed must be >= 0, got -1\n"
+
     def test_tiny_alpha_is_calibrated(self, capsys):
         # alpha ~ 1e-8, where Phi and its derivatives come in closed form
         code, out, err = run(
@@ -376,6 +383,10 @@ class TestSample:
         ["compare", "--parts", "strict", "--n2-grid", str(10**400)],
         ["sample", "--n1", "1", "--n2", str(10**400), "--parts", "strict"],
         ["sample", "--n1", str(10**400), "--n2", "1", "--parts", "strict"],
+        ["count", "--n1", str(10**400), "--n2", "1", "--parts", "strict"],
+        ["count", "--n1", "1", "--n2", str(10**400), "--parts", "nonzero"],
+        ["llt", "--n1", str(10**400), "--n2", "1", "--parts", "strict"],
+        ["llt", "--n1", "1", "--n2", str(10**400), "--parts", "nonzero"],
     ],
 )
 def test_integer_too_large_for_a_float_is_reported(capsys, argv):

@@ -140,6 +140,23 @@ class TestSampler:
         with pytest.raises(TruncationError):
             SamplerSpec(params=PARAMS, part_set=PartSet.STRICT_POSITIVE, tv_budget=0.1)
 
+    def test_negative_seed_index_or_count_is_refused(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            SamplerSpec(params=PARAMS, part_set=PartSet.STRICT_POSITIVE, seed=-1)
+        spec = SamplerSpec(params=PARAMS, part_set=PartSet.STRICT_POSITIVE)
+        with pytest.raises(ValueError, match="^replica index must be >= 0, got -1$"):
+            sample(spec, replica=-1)
+        with pytest.raises(ValueError, match="^replica index must be >= 0, got -2$"):
+            list(samples(spec, -2, 3))
+        with pytest.raises(ValueError, match="^reps must be >= 0, got -3$"):
+            sample_batch(spec, -3)
+
+    @pytest.mark.parametrize("part_set", list(PartSet))
+    def test_rates_own_their_data(self, part_set):
+        # the cut table is a copy, not a view that keeps every column to max_r
+        rates, _ = pair_rates(SamplerSpec(params=PARAMS, part_set=part_set))
+        assert rates.flags.owndata and rates.flags.c_contiguous
+
     def test_tracked_part_must_be_retained(self):
         spec = SamplerSpec(params=PARAMS, part_set=PartSet.STRICT_POSITIVE)
         with pytest.raises(ValueError):

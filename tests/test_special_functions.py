@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from bipartitions import special_functions
 from bipartitions.special_functions import (
+    ZETA2,
     _geometric,
     _phi_and_derivatives,
     bernoulli,
-    delta,
     dirichlet,
     phi,
     psi,
@@ -140,7 +140,7 @@ class TestValidation:
 
     def test_overflow_is_an_error(self):
         # Phi'' = 2 zeta(3)/alpha^3 overflows below alpha ~ 2e-103
-        for evaluate in (_phi_and_derivatives, theta, delta):
+        for evaluate in (_phi_and_derivatives, theta):
             with pytest.raises(ValueError, match="1e-200"):
                 evaluate(1e-200)
 
@@ -210,6 +210,11 @@ class TestThetaDelta:
         assert theta(800.0, barred=True) == 0.0
 
     def test_delta_frozen_and_positive(self):
+        # Delta = 2 P Phi'' - Phi'^2, with P = Phi + zeta(2) when barred
+        def delta(alpha, barred=False):
+            p, dp, ddp = _phi_and_derivatives(alpha)
+            return 2.0 * (p + ZETA2 if barred else p) * ddp - dp * dp
+
         assert delta(1.0) == pytest.approx(1.844026036440203, rel=1e-11)
         assert delta(1.0, barred=True) == pytest.approx(9.48139099797951, rel=1e-11)
         for alpha in (0.2, 1.0, 4.0):
