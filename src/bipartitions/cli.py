@@ -94,20 +94,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_count(args, out: IO[str]) -> None:
-    part_set = PartSet(args.parts)
-    _check_float("n1", args.n1)
-    _check_float("n2", args.n2)
-    table = count_table(part_set, args.n1, args.n2)
+    target = _target(args)
+    table = count_table(PartSet(args.parts), target.n1, target.n2)
     if args.table:
         table.to_csv(out)
     else:
-        out.write(str(table.get(args.n1, args.n2)) + "\n")
+        out.write(str(table.get(target.n1, target.n2)) + "\n")
 
 
 def cmd_coeffs(args, out: IO[str]) -> None:
     coeffs = corollary2_coeffs if args.variant == "c" else corollary3_coeffs
     for line in coeffs(args.order).lines():
         out.write(line + "\n")
+
+
+def _target(args) -> Target:
+    """The target of --n1 and --n2; a bad value raises ValueError naming it."""
+    _check_float("n1", args.n1)
+    _check_float("n2", args.n2)
+    return Target(args.n1, args.n2)
 
 
 def _check_float(flag: str, value: int) -> None:
@@ -162,10 +167,7 @@ def cmd_sample(args, out: IO[str]) -> None:
     if args.reps < 0:
         raise ValueError(f"reps must be >= 0, got {args.reps}")
     part_set = PartSet(args.parts)
-    target = Target(args.n1, args.n2)
-    _check_float("n1", args.n1)
-    _check_float("n2", args.n2)
-    cal = calibrate(target, part_set)
+    cal = calibrate(_target(args), part_set)
     spec = SamplerSpec(cal.params, part_set, args.tv_budget, args.seed)
     rates, tail_bound = pair_rates(spec)
     log_z = float(rates.sum())  # the pairs a replica expects, each held as a JSON triple
@@ -195,10 +197,7 @@ def cmd_sample(args, out: IO[str]) -> None:
 
 
 def cmd_llt(args, out: IO[str]) -> None:
-    part_set = PartSet(args.parts)
-    _check_float("n1", args.n1)
-    _check_float("n2", args.n2)
-    out.write(json.dumps(llt_check(Target(args.n1, args.n2), part_set)) + "\n")
+    out.write(json.dumps(llt_check(_target(args), PartSet(args.parts))) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -61,39 +61,40 @@ class SampledPartition:
 
 def pair_rates(spec: SamplerSpec) -> tuple[np.ndarray, float]:
     """Rates lambda[f, r - 1] of the pairs (r, part) of each part family f
-    (the order-0 rows of `_log_z_terms`), cut in r, and a bound on the rate
-    sum_{r > cut} of the dropped pairs, which bounds the chance that one
-    occurs and so the total-variation distance.  As G0(x + a) <= e^{-a} G0(x),
-    the total shrinks by q = e^{-decay} per step.
+    (the order-0 rows of `_log_z_terms`), formed block by block up to the cut
+    in r that `_series` sets at tol = tv_budget, and its bound on the rate of
+    the dropped pairs, which bounds the chance that one occurs and so the TV
+    distance.  As G0(x + a) <= e^{-a} G0(x), the total rate shrinks by
+    e^{-decay} per step.  A block past MAX_RATE_TERMS raises TruncationError.
     """
     a, b = spec.params.alpha, spec.params.beta
     nonzero = spec.part_set is PartSet.NONZERO_VECTORS
-    decay = min(a, b) if nonzero else a + b
-    tail_factor = float(_geometric(decay, 0)[0])  # q / (1 - q)
-    # lambda_r <= lambda_1 q^{r-1}, so the cut comes no later than max_r
-    first_tail = float(_log_z_terms(a, b, nonzero, 1.0, 0).sum()) * tail_factor
-    max_r = 2 + math.ceil(math.log(max(first_tail / spec.tv_budget, 1.0)) / decay)
-    if max_r > MAX_RATE_TERMS:
-        msg = f"tv_budget {spec.tv_budget!r} may need {max_r} terms of r, above {MAX_RATE_TERMS}"
-        raise TruncationError(msg)
-    table = _log_z_terms(a, b, nonzero, np.arange(1.0, max_r + 1.0), 0)
-    tails = table.sum(axis=0) * tail_factor
-    cut = int(np.flatnonzero(tails < spec.tv_budget)[0])
-    return table[:, : cut + 1].copy(), float(tails[cut])  # frees the columns past the cut
+    kept = []
+
+    def block(r: np.ndarray) -> np.ndarray:
+        if r[-1] > MAX_RATE_TERMS:
+            msg = f"tv_budget {spec.tv_budget!r} may need more than {MAX_RATE_TERMS} terms of r"
+            raise TruncationError(msg)
+        kept.append(_log_z_terms(a, b, nonzero, r, 0))
+        return kept[-1].sum(axis=0)
+
+    _, cut, tail = _series(block, min(a, b) if nonzero else a + b, 0.0, tol=spec.tv_budget)
+    return np.concatenate(kept, axis=1)[:, :cut].copy(), tail  # frees the columns past the cut
 
 
 def _chunks(spec: SamplerSpec, first: int, stop: int):
-    """Yield (base, bounds, r, x1, x2) for each chunk with a replica in [first,
-    stop); replica base + j owns the pairs bounds[j]:bounds[j+1].  Chunk k always
-    draws all its replicas from stream (seed, k), whatever range is asked for.
-    """
+    """Checks the caps, then returns an iterator of (base, bounds, r, x1, x2), one
+    per chunk with a replica in [first, stop), drawn as it is reached; replica
+    base + j owns the pairs bounds[j]:bounds[j+1].  Chunk k always draws all its
+    replicas from stream (seed, k), whatever range is asked for."""
     rates, _ = pair_rates(spec)
     cdf = np.cumsum(rates)
     if CHUNK_REPLICAS * cdf[-1] > MAX_CHUNK_PAIRS:
         msg = f"a chunk of {CHUNK_REPLICAS} replicas at log Z = {cdf[-1]:.6g} expects"
         raise TruncationError(f"{msg} more than {MAX_CHUNK_PAIRS} pairs")
     a, b = spec.params.alpha, spec.params.beta
-    for chunk in range(first // CHUNK_REPLICAS, -(-stop // CHUNK_REPLICAS)):
+
+    def draw(chunk: int) -> tuple:
         rng = np.random.default_rng((spec.seed, chunk))
         bounds = np.zeros(CHUNK_REPLICAS + 1, dtype=np.int64)
         np.cumsum(rng.poisson(cdf[-1], CHUNK_REPLICAS), out=bounds[1:])
@@ -108,17 +109,24 @@ def _chunks(spec: SamplerSpec, first: int, stop: int):
         x2 = 1 + (rng.standard_exponential(r.size) / (b * r)).astype(np.int64)
         x1[family == 2] = 0
         x2[family == 1] = 0
-        yield chunk * CHUNK_REPLICAS, bounds, r, x1, x2
+        return chunk * CHUNK_REPLICAS, bounds, r, x1, x2
+
+    return map(draw, range(first // CHUNK_REPLICAS, -(-stop // CHUNK_REPLICAS)))
 
 
 def samples(spec: SamplerSpec, first: int, stop: int):
-    """Replicas first..stop-1 as partitions, drawing each chunk once."""
+    """Replicas first..stop-1 as a lazy iterator of partitions, drawing each
+    chunk once; the index and the caps of `_chunks` are checked at the call."""
     if first < 0:
         raise ValueError(f"replica index must be >= 0, got {first!r}")
-    for base, bounds, r, x1, x2 in _chunks(spec, first, stop):
+    return _partitions(_chunks(spec, first, stop), first, stop)
+
+
+def _partitions(chunks, first: int, stop: int):
+    """The partitions of replicas first..stop-1 from the chunks that hold them."""
+    for base, bounds, r, x1, x2 in chunks:
         for j in range(max(first - base, 0), min(stop - base, CHUNK_REPLICAS)):
-            pairs = slice(bounds[j], bounds[j + 1])
-            copies, p1, p2 = r[pairs], x1[pairs], x2[pairs]
+            copies, p1, p2 = (v[bounds[j] : bounds[j + 1]] for v in (r, x1, x2))
             mult: Counter = Counter()
             for k, part in zip(copies.tolist(), zip(p1.tolist(), p2.tolist())):
                 mult[part] += k

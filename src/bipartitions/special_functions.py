@@ -27,8 +27,11 @@ DEFAULT_TOL = 1e-12
 
 # a block's cost is mostly per-call overhead, so the first block holds the
 # ~60 terms that alpha >= 0.5 needs at DEFAULT_TOL; later blocks double up to
-# caps on the terms per series and on the cells (terms x series) of a block,
-# which bound its memory however many series are stacked
+# caps on the terms per series and on the cells (terms x series) of a block.
+# Every block holds at least _FIRST_BLOCK terms per series, so these caps do not
+# bound the memory of a tall stack: one (Phi, Phi', Phi'') pass over 20,000
+# stacked alphas peaks at 62.6 MB traced (1,024 alphas: 3.2 MB).  What bounds
+# the stack height is calibration.MAX_STACK.
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 4096
 _MAX_BLOCK_CELLS = 2**18
@@ -82,7 +85,7 @@ def _geometric(x, order: int) -> list:
     return g
 
 
-def _series(block, decay: float, growth: float):
+def _series(block, decay: float, growth: float, tol: float = DEFAULT_TOL):
     """Sum block(r) over r = 1, 2, ... in numpy blocks of r; returns
     (value, terms, tail_bound), value holding one sum per stacked series.
 
@@ -90,10 +93,10 @@ def _series(block, decay: float, growth: float):
     on leading axes (such as one row block per alpha).  Each must obey
     |t(r+1)| <= q_r |t(r)| with q_r = e^{-decay} ((r+1)/r)^growth, growth >= 0.
     q_r falls with r, so once q_r < 1 the tail after r is at most
-    |t(r)| q_r / (1 - q_r); the sum stops at the first r where that is below
-    DEFAULT_TOL for every series: absolute in the terms' units, so relative to
-    u for a series scaled by 1/u.  Summands that do not shrink regularly are
-    certified by stacking a real majorant that does.
+    |t(r)| q_r / (1 - q_r); the sum stops at the first r where that is below tol for
+    every series: absolute in the terms' units, so relative to u for a series scaled
+    by 1/u (tol is DEFAULT_TOL but in `gibbs.pair_rates`, its TV budget).  Summands
+    that do not shrink regularly are certified by stacking a real majorant that does.
     """
     parts = []
     start, size = 1, _FIRST_BLOCK
@@ -104,7 +107,7 @@ def _series(block, decay: float, growth: float):
         largest = np.abs(terms).max(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
             tails = np.where(q < 1.0, largest * q / (1.0 - q), np.inf)
-        done = np.flatnonzero(tails < DEFAULT_TOL)
+        done = np.flatnonzero(tails < tol)
         stop = int(done[0]) + 1 if done.size else size
         parts.append(terms[:, :stop].sum(axis=1))
         if done.size:

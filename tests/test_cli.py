@@ -315,13 +315,26 @@ class TestSample:
         assert 0.0 < payload["tail_bound"] < 1e-4
 
     def test_rate_table_cap_is_reported(self, capsys):
-        # beta ~ 1.3e-8: the cut in r would lie beyond r ~ 3e9
+        # beta ~ 1.3e-8: the cut in r would lie beyond r ~ 3e9, and the
+        # refusal comes once MAX_RATE_TERMS columns are formed
+        start = time.perf_counter()
         code, out, err = run(
             capsys, "sample", "--n1", "10", "--n2", "10000000000000000", "--parts", "nonzero"
         )
+        assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert err.startswith("error: tv_budget 0.0001 may need")
         assert str(gibbs.MAX_RATE_TERMS) in err
+
+    def test_subnormal_budget(self, capsys):
+        # the smallest positive budget: the tail bound must reach 0.0
+        code, out, err = run(
+            capsys, "sample", "--n1", "10", "--n2", "400", "--parts", "nonzero",
+            "--tv-budget", "5e-324",
+        )
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["tail_bound"] == 0.0 and payload["max_r"] > 1
 
     def test_chunk_pair_cap_is_reported(self, capsys):
         # log Z ~ 1.3e5, so a chunk of replicas would hold ~8.6e6 pairs
@@ -394,6 +407,15 @@ def test_integer_too_large_for_a_float_is_reported(capsys, argv):
     flag = argv[argv.index(str(10**400)) - 1]
     assert code == 1 and out == ""
     assert err == f"error: {flag} has 401 digits, too large for a float\n"
+
+
+@pytest.mark.parametrize("n1, n2, parts", [(-1, 5, "strict"), (3, -5, "nonzero")])
+def test_negative_target_is_reported(capsys, n1, n2, parts):
+    # count, llt and sample print the same line, naming the target
+    line = f"error: target components must be non-negative, got Target(n1={n1}, n2={n2})\n"
+    for command in ("count", "llt", "sample"):
+        code, out, err = run(capsys, command, "--n1", str(n1), "--n2", str(n2), "--parts", parts)
+        assert (code, out, err) == (1, "", line)
 
 
 class TestLLT:

@@ -18,7 +18,9 @@ from bipartitions.gibbs import (
     CHUNK_REPLICAS,
     FIRST_K,
     LYAPUNOV_TOL,
+    MAX_CHUNK_PAIRS,
     MAX_LATTICE_CELLS,
+    MAX_RATE_TERMS,
     N_DIRECTIONS,
     SamplerSpec,
     TruncationError,
@@ -37,6 +39,9 @@ from bipartitions.gibbs import (
 
 PARAMS = ShapeParams(0.9, 0.35)
 NONZERO = PartSet.NONZERO_VECTORS
+# calibrated nonzero (1000, 10^6), frozen; at the default budget its rate
+# table is cut at r = 4578, in the seventh block of the series kernel
+CALIBRATED_1000 = ShapeParams(0.8260637084168684, 0.001579979688045396)
 
 
 class TestSampler:
@@ -112,6 +117,24 @@ class TestSampler:
             decay = min(a, b) if part_set is NONZERO else a + b
             assert rates[:, -2].sum() / math.expm1(decay) >= budget
 
+    @pytest.mark.parametrize("budget", [1e-4, 1e-12, 1e-300, 5e-324])
+    @pytest.mark.parametrize("part_set", list(PartSet))
+    @pytest.mark.parametrize("params", [PARAMS, ShapeParams(0.5, 0.02), CALIBRATED_1000])
+    def test_cut_matches_a_direct_table(self, params, part_set, budget):
+        # the cut is the first r whose ratio bound on the tail is below the
+        # budget, in one table formed directly over r = 1..cut + 64; the kept
+        # columns are that table's, bit for bit, and the tail is its bound
+        rates, tail = pair_rates(SamplerSpec(params, part_set, tv_budget=budget))
+        cut = rates.shape[1]
+        a, b = params.alpha, params.beta
+        nonzero = part_set is NONZERO
+        table = asymptotics._log_z_terms(a, b, nonzero, np.arange(1.0, cut + 65.0), 0)
+        q = math.exp(-(min(a, b) if nonzero else a + b))
+        bounds = table.sum(axis=0) * q / (1.0 - q)
+        assert cut == int(np.flatnonzero(bounds < budget)[0]) + 1
+        assert np.array_equal(rates, table[:, :cut])
+        assert tail == bounds[cut - 1] and tail <= budget
+
     @pytest.mark.parametrize("part_set", list(PartSet))
     def test_draw_consistency(self, part_set):
         spec = SamplerSpec(params=PARAMS, part_set=part_set, seed=0)
@@ -147,13 +170,25 @@ class TestSampler:
         with pytest.raises(ValueError, match="^replica index must be >= 0, got -1$"):
             sample(spec, replica=-1)
         with pytest.raises(ValueError, match="^replica index must be >= 0, got -2$"):
-            list(samples(spec, -2, 3))
+            samples(spec, -2, 3)  # at the call, before any replica is asked for
         with pytest.raises(ValueError, match="^reps must be >= 0, got -3$"):
             sample_batch(spec, -3)
 
+    def test_samples_checks_caps_at_the_call(self):
+        # samples raises before any replica is asked for, not at the first next.
+        # Strict (2e5, 4e10): a chunk would expect more than MAX_CHUNK_PAIRS pairs
+        cal = calibrate(Target(200_000, 40_000_000_000), PartSet.STRICT_POSITIVE)
+        spec = SamplerSpec(params=cal.params, part_set=PartSet.STRICT_POSITIVE)
+        with pytest.raises(TruncationError, match=f"more than {MAX_CHUNK_PAIRS} pairs$"):
+            samples(spec, 0, 1)
+        # nonzero (10, 1e16): the rate table would pass MAX_RATE_TERMS
+        cal = calibrate(Target(10, 10**16), NONZERO)
+        with pytest.raises(TruncationError, match=f"more than {MAX_RATE_TERMS} terms of r$"):
+            samples(SamplerSpec(params=cal.params, part_set=NONZERO), 0, 1)
+
     @pytest.mark.parametrize("part_set", list(PartSet))
     def test_rates_own_their_data(self, part_set):
-        # the cut table is a copy, not a view that keeps every column to max_r
+        # the cut table is a copy, not a view that keeps the kernel's last block alive
         rates, _ = pair_rates(SamplerSpec(params=PARAMS, part_set=part_set))
         assert rates.flags.owndata and rates.flags.c_contiguous
 
