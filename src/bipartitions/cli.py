@@ -1,16 +1,15 @@
 """Command-line front end.
 
-Subcommands: count, coeffs, compare, rates, sample, llt.  Numeric output is
-CSV (12 significant digits; compare's log_ratio to 10 decimal places, the
-accuracy the calibration supports) or JSON with stable key order; exact
-counts are always printed as decimal strings.  Fixed budgets refuse a count
-table past exact_count.CELL_BUDGET cells or one whose recurrence would take
-more than ~25 s (exact_count.WORK_BUDGET), `sample` refuses more than
+Subcommands: count, coeffs, compare, rates, sample, llt.  Numeric output is CSV
+(12 significant digits; compare's log_ratio to 10 decimal places, the accuracy
+the calibration supports) or JSON with stable key order; exact counts are
+always printed as decimal strings.  Fixed budgets refuse a count table past
+exact_count.CELL_BUDGET cells, WORK_BUDGET (~25 s of recurrence) or
+MEMORY_BUDGET (bytes of rows held at once); `sample` refuses more than
 MAX_SAMPLE_PAIRS expected pairs (reps x log Z) and `rates` more than
 MAX_RATE_STEPS steps.  A refused input, an exceeded budget, a number too large
-for a float or an --output that cannot be opened prints one ``error: ...``
-line on stderr and exits with status 1; argparse usage errors exit with
-status 2.
+for a float or an --output that cannot be opened prints one ``error: ...`` line
+on stderr and exits with status 1; argparse usage errors exit with status 2.
 """
 
 from __future__ import annotations
@@ -166,6 +165,7 @@ def cmd_rates(args, out: IO[str]) -> None:
 def cmd_sample(args, out: IO[str]) -> None:
     if args.reps < 0:
         raise ValueError(f"reps must be >= 0, got {args.reps}")
+    _check_float("reps", args.reps)
     part_set = PartSet(args.parts)
     cal = calibrate(_target(args), part_set)
     spec = SamplerSpec(cal.params, part_set, args.tv_budget, args.seed)

@@ -5,8 +5,8 @@ b <= n2, one q2-row P_a per a, by the Euler-transform recurrence
 a P_a = sum_{i=1..a} M_i P_{a-i}, in row additions only: the weighted sums
 it needs are carried from row to row instead of being formed afresh, and the
 1-D partition row comes from Euler's pentagonal recurrence.  A recursive
-enumeration oracle and a 1-D partition counter serve as independent ground
-truth.
+enumeration oracle is independent ground truth; `count_1d` reads the same
+pentagonal row as the nonzero P_0, which the tests' Euler product checks.
 """
 
 from __future__ import annotations

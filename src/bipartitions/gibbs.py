@@ -18,13 +18,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .asymptotics import _log_z_sums, _log_z_terms, gibbs_covariance
 from .calibration import ShapeParams, calibrate
 from .exact_count import PartSet, Target, count_table
-from .special_functions import _geometric, _series
+from .special_functions import DEFAULT_TOL, _geometric, _series
 
 # replicas per random stream; a chunk holds ~CHUNK_REPLICAS * log Z pairs at
 # once, so a larger chunk saves little time and costs memory
@@ -59,14 +60,18 @@ class SampledPartition:
     N: tuple[int, int]
 
 
+# One table per spec serves `bipart sample`, every `sample` and `sample_batch`
+# call and every `char_fn` frequency.  At the MAX_RATE_TERMS cap a table is
+# 3 x 2^20 floats (~25 MB), so the 4 cached specs hold at most ~100 MB.
+@lru_cache(maxsize=4)
 def pair_rates(spec: SamplerSpec) -> tuple[np.ndarray, float]:
-    """Rates lambda[f, r - 1] of the pairs (r, part) of each part family f
-    (the order-0 rows of `_log_z_terms`), formed block by block up to the cut
-    in r that `_series` sets at tol = tv_budget, and its bound on the rate of
-    the dropped pairs, which bounds the chance that one occurs and so the TV
-    distance.  As G0(x + a) <= e^{-a} G0(x), the total rate shrinks by
-    e^{-decay} per step.  A block past MAX_RATE_TERMS raises TruncationError.
-    """
+    """Rates lambda[f, r - 1] of the pairs (r, part) of each part family f (the
+    order-0 rows of `_log_z_terms`), formed block by block up to the cut in r
+    that `_series` sets at tol = tv_budget, and its bound on the rate of the
+    dropped pairs, which bounds the chance that one occurs and so the TV
+    distance.  As G0(x + a) <= e^{-a} G0(x), the total rate shrinks by e^{-decay}
+    per step.  A block past MAX_RATE_TERMS raises TruncationError.  Cached per
+    spec, so the table is read-only: its callers share it."""
     a, b = spec.params.alpha, spec.params.beta
     nonzero = spec.part_set is PartSet.NONZERO_VECTORS
     kept = []
@@ -79,7 +84,9 @@ def pair_rates(spec: SamplerSpec) -> tuple[np.ndarray, float]:
         return kept[-1].sum(axis=0)
 
     _, cut, tail = _series(block, min(a, b) if nonzero else a + b, 0.0, tol=spec.tv_budget)
-    return np.concatenate(kept, axis=1)[:, :cut].copy(), tail  # frees the columns past the cut
+    rates = np.concatenate(kept, axis=1)[:, :cut].copy()  # frees the columns past the cut
+    rates.setflags(write=False)
+    return rates, tail
 
 
 def _chunks(spec: SamplerSpec, first: int, stop: int):
@@ -175,23 +182,17 @@ def sample_batch(spec: SamplerSpec, reps: int, tracked_parts: tuple = ()) -> Bat
 
 
 def char_fn(params: ShapeParams, part_set: PartSet, t: tuple[float, float]) -> complex:
-    """Characteristic function of N at frequency t, via the product formula:
-    log phi = sum_r [the log-Z terms at (alpha - i t1, beta - i t2) minus
-    those at (alpha, beta)], summed over the part families.
-    """
-    a, b = params.alpha, params.beta
-    t1, t2 = t
-    nonzero = part_set is PartSet.NONZERO_VECTORS
-
-    def block(r: np.ndarray) -> np.ndarray:
-        shifted = _log_z_terms(complex(a, -t1), complex(b, -t2), nonzero, r, 0).sum(0)
-        real = _log_z_terms(a, b, nonzero, r, 0).sum(0)
-        # each shifted term is at most its real one in modulus, so twice the
-        # real sum majorises the term and shrinks by e^{-decay} per step
-        return np.stack([shifted - real, 2.0 * real])
-
-    log_phi = _series(block, min(a, b) if nonzero else a + b, 0.0)[0][0]
-    return complex(np.exp(log_phi))
+    """Characteristic function of N at t: log phi = sum_r [the log-Z terms at
+    (alpha - i t1, beta - i t2) minus those at (alpha, beta)] over the part
+    families, r up to the cut of `pair_rates` at tv_budget DEFAULT_TOL/2, whose
+    table gives the real terms; past MAX_RATE_TERMS it raises TruncationError."""
+    real, _ = pair_rates(SamplerSpec(params, part_set, DEFAULT_TOL / 2))
+    r = np.arange(1.0, real.shape[1] + 1.0)
+    a, b = complex(params.alpha, -t[0]), complex(params.beta, -t[1])
+    # each shifted term is at most its real one in modulus, so the terms past
+    # the cut add at most twice the rates' tail bound, below DEFAULT_TOL
+    shifted = _log_z_terms(a, b, part_set is PartSet.NONZERO_VECTORS, r, 0)
+    return complex(np.exp((shifted - real).sum()))
 
 
 def char_fn_bound(params: ShapeParams, t: tuple[float, float]) -> float:

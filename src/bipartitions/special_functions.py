@@ -95,8 +95,7 @@ def _series(block, decay: float, growth: float, tol: float = DEFAULT_TOL):
     q_r falls with r, so once q_r < 1 the tail after r is at most
     |t(r)| q_r / (1 - q_r); the sum stops at the first r where that is below tol for
     every series: absolute in the terms' units, so relative to u for a series scaled
-    by 1/u (tol is DEFAULT_TOL but in `gibbs.pair_rates`, its TV budget).  Summands
-    that do not shrink regularly are certified by stacking a real majorant that does.
+    by 1/u (tol is DEFAULT_TOL but in `gibbs.pair_rates`, its TV budget).
     """
     parts = []
     start, size = 1, _FIRST_BLOCK

@@ -400,6 +400,7 @@ class TestSample:
         ["count", "--n1", "1", "--n2", str(10**400), "--parts", "nonzero"],
         ["llt", "--n1", str(10**400), "--n2", "1", "--parts", "strict"],
         ["llt", "--n1", "1", "--n2", str(10**400), "--parts", "nonzero"],
+        ["sample", "--n1", "10", "--n2", "400", "--parts", "strict", "--reps", str(10**400)],
     ],
 )
 def test_integer_too_large_for_a_float_is_reported(capsys, argv):

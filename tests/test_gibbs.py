@@ -1,6 +1,8 @@
 """Unit tests for the sampler, characteristic function and LLT diagnostics."""
 
+import cmath
 import itertools
+import json
 import math
 import time
 import tracemalloc
@@ -13,6 +15,7 @@ from scipy import stats
 from bipartitions import asymptotics, gibbs
 from bipartitions.asymptotics import gibbs_covariance, log_z_direct
 from bipartitions.calibration import ShapeParams, calibrate
+from bipartitions.cli import main
 from bipartitions.exact_count import PartSet, Target, count_table
 from bipartitions.gibbs import (
     CHUNK_REPLICAS,
@@ -36,6 +39,7 @@ from bipartitions.gibbs import (
     sample_batch,
     samples,
 )
+from bipartitions.special_functions import DEFAULT_TOL
 
 PARAMS = ShapeParams(0.9, 0.35)
 NONZERO = PartSet.NONZERO_VECTORS
@@ -192,6 +196,34 @@ class TestSampler:
         rates, _ = pair_rates(SamplerSpec(params=PARAMS, part_set=part_set))
         assert rates.flags.owndata and rates.flags.c_contiguous
 
+    @pytest.mark.parametrize("caller", ["cli sample", "char_fn grid", "64 samples"])
+    def test_one_rate_table_per_spec(self, caller, monkeypatch, capsys):
+        # the table is cached per spec, so each caller makes one series pass
+        gibbs.pair_rates.cache_clear()  # the cache is process-wide
+        passes, series = [], gibbs._series
+
+        def counted(*args, **kwargs):
+            passes.append(args)
+            return series(*args, **kwargs)
+
+        monkeypatch.setattr(gibbs, "_series", counted)
+        if caller == "cli sample":
+            argv = ["sample", "--n1", "10", "--n2", "400", "--parts", "nonzero", "--reps", "3"]
+            assert main(argv) == 0 and len(json.loads(capsys.readouterr().out)["replicas"]) == 3
+        elif caller == "char_fn grid":
+            for t in itertools.product(np.linspace(-1.0, 1.0, 17), repeat=2):
+                char_fn(PARAMS, NONZERO, t)
+        else:
+            spec = SamplerSpec(params=PARAMS, part_set=NONZERO)
+            for i in range(64):
+                sample(spec, i)
+        assert len(passes) == 1
+
+    def test_cached_rates_are_read_only(self):
+        rates, _ = pair_rates(SamplerSpec(params=PARAMS, part_set=NONZERO))
+        with pytest.raises(ValueError):
+            rates[0, 0] = 1.0
+
     def test_tracked_part_must_be_retained(self):
         spec = SamplerSpec(params=PARAMS, part_set=PartSet.STRICT_POSITIVE)
         with pytest.raises(ValueError):
@@ -227,21 +259,41 @@ class TestCharFn:
         value = char_fn(PARAMS, PartSet.STRICT_POSITIVE, t)
         assert abs(value) <= char_fn_bound(PARAMS, t) + 1e-12
 
-    def test_against_brute_force_product(self):
-        # independent oracle: finite product of geometric characteristic fns
+    @pytest.mark.parametrize("part_set", list(PartSet))
+    @pytest.mark.parametrize("t", [(0.7, -0.4), (2.5, 3.0)])
+    def test_against_brute_force_product(self, t, part_set):
+        # independent oracle: finite product of geometric characteristic fns,
+        # over the axis parts too (all but (0, 0)) for the nonzero set
         a, b = PARAMS.alpha, PARAMS.beta
-        t1, t2 = 0.7, -0.4
+        t1, t2 = t
+        lowest = 0 if part_set is NONZERO else 1
         log_phi = 0.0 + 0.0j
-        for x1 in range(1, 80):
-            for x2 in range(1, 160):
+        for x1 in range(lowest, 80):
+            for x2 in range(lowest, 160):
+                if x1 == x2 == 0:
+                    continue
                 e = a * x1 + b * x2
                 q = math.exp(-e)
                 z = np.exp(-e + 1j * (t1 * x1 + t2 * x2))
                 log_phi += np.log((1 - q) / (1 - z))
         expected = complex(np.exp(log_phi))
-        assert char_fn(PARAMS, PartSet.STRICT_POSITIVE, (t1, t2)) == pytest.approx(
-            expected, abs=1e-8
+        assert char_fn(PARAMS, part_set, t) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [(0.05, 1e-4), (0.01, -5e-5)])
+    def test_multi_block_against_direct_sum(self, t):
+        # at calibrated nonzero (1000, 10^6) the cut spans several kernel
+        # blocks; the shifted - real terms, summed by fsum to ten times the
+        # cut, give log phi within 1e-12 (the imaginary part modulo 2 pi)
+        a, b = CALIBRATED_1000.alpha, CALIBRATED_1000.beta
+        cut = pair_rates(SamplerSpec(CALIBRATED_1000, NONZERO, DEFAULT_TOL / 2))[0].shape[1]
+        assert cut > 64
+        r = np.arange(1.0, 10 * cut + 1.0)
+        terms = asymptotics._log_z_terms(complex(a, -t[0]), complex(b, -t[1]), True, r, 0)
+        terms = (terms - asymptotics._log_z_terms(a, b, True, r, 0)).ravel()
+        diff = cmath.log(char_fn(CALIBRATED_1000, NONZERO, t)) - complex(
+            math.fsum(terms.real), math.fsum(terms.imag)
         )
+        assert abs(complex(diff.real, math.remainder(diff.imag, 2.0 * math.pi))) <= 1e-12
 
 
 def whitened_directions(params: ShapeParams, part_set: PartSet) -> np.ndarray:
