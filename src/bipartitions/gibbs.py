@@ -4,18 +4,19 @@ A multiplicity with P(omega >= k) = q^k is sum_r r Pois(q^r / r), so the
 sampler draws Pois(log Z) pairs (r, part) per replica, each adding r copies
 of its part (Flajolet, Fusy and Pivoteau 2007), with r cut where a certified
 tail bounds the total-variation distance.  Replicas come in chunks, one
-random stream per chunk.  The diagnostics side evaluates the characteristic
-function of N, an upper bound on the scale-free Lyapunov ratio over a
-direction grid (a sum over one region alpha x1 + beta x2 <= K of the part
-lattice, walked in blocks of row segments that are summed for every
-direction at once from their suffix moments, plus a closed-form bound on the
-parts outside the region), and the normalized local-limit ratio against
-exact counts.
+random stream per chunk, drawn a group of chunks at a time.  The diagnostics
+side evaluates the characteristic function of N, an upper bound on the
+scale-free Lyapunov ratio over a direction grid (a sum over one region
+alpha x1 + beta x2 <= K of the part lattice, walked in blocks of row
+segments that are summed for every direction at once from their suffix
+moments, plus a closed-form bound on the parts outside the region), and the
+normalized local-limit ratio against exact counts.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,6 +33,15 @@ from .special_functions import DEFAULT_TOL, _geometric, _series
 CHUNK_REPLICAS = 64
 MAX_RATE_TERMS = 1 << 20  # longest r table (one float per family and r)
 MAX_CHUNK_PAIRS = 1 << 22  # most pairs a chunk may expect (~60 bytes each)
+# pairs a group of chunks expects: each group is drawn and post-processed with
+# one set of numpy calls, so this bounds the sampler's memory, not its streams
+GROUP_PAIRS = 1 << 15
+# buckets of the pair CDF's guide table: at most 2.3% of the keys fall in a
+# bucket that holds an edge and are searched, at calibrated (10, 400) to
+# (1000, 10^6).  Twice as many buckets as table entries searched under 1%,
+# but at nonzero (10, 10^6) with tv_budget 1e-300 (1.6e6 entries) that guide
+# took 0.3 s and ~100 MB to build, where a whole chunk takes 0.03 s (2-core VM)
+GUIDE_BUCKETS = 1 << 12
 
 
 class TruncationError(ValueError):
@@ -60,10 +70,6 @@ class SampledPartition:
     N: tuple[int, int]
 
 
-# One table per spec serves `bipart sample`, every `sample` and `sample_batch`
-# call and every `char_fn` frequency.  At the MAX_RATE_TERMS cap a table is
-# 3 x 2^20 floats (~25 MB), so the 4 cached specs hold at most ~100 MB.
-@lru_cache(maxsize=4)
 def pair_rates(spec: SamplerSpec) -> tuple[np.ndarray, float]:
     """Rates lambda[f, r - 1] of the pairs (r, part) of each part family f (the
     order-0 rows of `_log_z_terms`), formed block by block up to the cut in r
@@ -71,68 +77,143 @@ def pair_rates(spec: SamplerSpec) -> tuple[np.ndarray, float]:
     dropped pairs, which bounds the chance that one occurs and so the TV
     distance.  As G0(x + a) <= e^{-a} G0(x), the total rate shrinks by e^{-decay}
     per step.  A block past MAX_RATE_TERMS raises TruncationError.  Cached per
-    spec, so the table is read-only: its callers share it."""
-    a, b = spec.params.alpha, spec.params.beta
-    nonzero = spec.part_set is PartSet.NONZERO_VECTORS
+    (params, part set, budget), whatever the seed, so the table is read-only:
+    its callers share it."""
+    return _rate_table(spec.params, spec.part_set, spec.tv_budget)
+
+
+# One table per (params, part set, budget) serves `bipart sample`, every
+# `sample` and `sample_batch` call at any seed and every `char_fn` frequency.
+# At the MAX_RATE_TERMS cap a table is 3 x 2^20 floats (~25 MB), so the 4
+# cached tables hold at most ~100 MB.
+@lru_cache(maxsize=4)
+def _rate_table(params: ShapeParams, part_set: PartSet, tv_budget: float) -> tuple:
+    a, b = params.alpha, params.beta
+    nonzero = part_set is PartSet.NONZERO_VECTORS
     kept = []
 
     def block(r: np.ndarray) -> np.ndarray:
         if r[-1] > MAX_RATE_TERMS:
-            msg = f"tv_budget {spec.tv_budget!r} may need more than {MAX_RATE_TERMS} terms of r"
+            msg = f"tv_budget {tv_budget!r} may need more than {MAX_RATE_TERMS} terms of r"
             raise TruncationError(msg)
         kept.append(_log_z_terms(a, b, nonzero, r, 0))
         return kept[-1].sum(axis=0)
 
-    _, cut, tail = _series(block, min(a, b) if nonzero else a + b, 0.0, tol=spec.tv_budget)
+    _, cut, tail = _series(block, min(a, b) if nonzero else a + b, 0.0, tol=tv_budget)
     rates = np.concatenate(kept, axis=1)[:, :cut].copy()  # frees the columns past the cut
     rates.setflags(write=False)
     return rates, tail
 
 
+def _inverse_cdf(cdf: np.ndarray):
+    """The map from float keys v in [0, cdf[-1]] to searchsorted(cdf[:-1], v,
+    "right"), by a guide table (indexed search: Chen and Asau 1974; Devroye
+    1986, III.2.4).  [0, cdf[-1]] is cut into GUIDE_BUCKETS equal buckets, plus
+    one for keys that round up to the top.  A bucket whose ends, widened by a
+    relative 1e-12, hold no edge gives all its keys one index; only the keys
+    of the other buckets, a few percent, are searched.  The widening covers
+    any rounding of a key's bucket, so the index is exact.  Without a normal
+    bucket width (log Z = 0, where no pair is drawn, or subnormal) every key
+    is searched."""
+    edges, total = cdf[:-1], cdf[-1]
+    if total / GUIDE_BUCKETS < sys.float_info.min:
+        return lambda v: np.searchsorted(edges, v, "right")
+    ends = np.arange(GUIDE_BUCKETS + 2) * (total / GUIDE_BUCKETS)
+    first = np.searchsorted(edges, ends[:-1] * (1.0 - 1e-12), "right")
+    last = np.searchsorted(edges, ends[1:] * (1.0 + 1e-12), "right")
+    guide = np.where(first == last, first, -1)  # -1: the bucket holds an edge
+    scale = GUIDE_BUCKETS / total
+
+    def invert(v: np.ndarray) -> np.ndarray:
+        index = guide.take((v * scale).astype(np.intp))
+        odd = np.flatnonzero(index < 0)
+        index[odd] = np.searchsorted(edges, v[odd], "right")
+        return index
+
+    return invert
+
+
 def _chunks(spec: SamplerSpec, first: int, stop: int):
-    """Checks the caps, then returns an iterator of (base, bounds, r, x1, x2), one
-    per chunk with a replica in [first, stop), drawn as it is reached; replica
-    base + j owns the pairs bounds[j]:bounds[j+1].  Chunk k always draws all its
-    replicas from stream (seed, k), whatever range is asked for."""
+    """Checks the caps, then returns an iterator of (base, bounds, r, x1, x2),
+    one per group of consecutive chunks with a replica in [first, stop), drawn
+    as it is reached; replica base + j owns the pairs bounds[j]:bounds[j+1],
+    j < bounds.size - 1.  Chunk k always draws all its replicas from stream
+    (seed, k), whatever range is asked for: its CHUNK_REPLICAS Poisson counts,
+    then the uniforms that pick its pairs, the exponentials of their x1 and
+    those of their x2.  A group holds the chunks that expect about GROUP_PAIRS
+    pairs (at least one chunk), so each numpy call serves a whole group.  A
+    pair's index in the flattened rate table comes from `_inverse_cdf`, and
+    its r and coordinates from tables over that index."""
     rates, _ = pair_rates(spec)
     cdf = np.cumsum(rates)
-    if CHUNK_REPLICAS * cdf[-1] > MAX_CHUNK_PAIRS:
-        msg = f"a chunk of {CHUNK_REPLICAS} replicas at log Z = {cdf[-1]:.6g} expects"
+    total = cdf[-1]
+    if CHUNK_REPLICAS * total > MAX_CHUNK_PAIRS:
+        msg = f"a chunk of {CHUNK_REPLICAS} replicas at log Z = {total:.6g} expects"
         raise TruncationError(f"{msg} more than {MAX_CHUNK_PAIRS} pairs")
-    a, b = spec.params.alpha, spec.params.beta
+    invert = _inverse_cdf(cdf)
+    families, cut = rates.shape
+    r_of = np.tile(np.arange(1, cut + 1), families)
+    # a r and b r per flat index; inf on the axis family without that coordinate
+    # (x2 = 0 on family 1, x1 = 0 on family 2), whose draw is then 0, not >= 1
+    scale = np.outer((spec.params.alpha, spec.params.beta), r_of)
+    if families == 3:
+        scale[0, 2 * cut :] = scale[1, cut : 2 * cut] = np.inf
+    # a replica expecting under one pair counts as one, so a group has at most
+    # GROUP_PAIRS replicas, and log Z = 0 needs no division
+    group = max(1, int(GROUP_PAIRS // (CHUNK_REPLICAS * max(total, 1.0))))
 
-    def draw(chunk: int) -> tuple:
-        rng = np.random.default_rng((spec.seed, chunk))
-        bounds = np.zeros(CHUNK_REPLICAS + 1, dtype=np.int64)
-        np.cumsum(rng.poisson(cdf[-1], CHUNK_REPLICAS), out=bounds[1:])
-        # family and r by inverse CDF over the flattened rate table
-        family, r = np.divmod(
-            np.searchsorted(cdf[:-1], cdf[-1] * rng.random(bounds[-1]), side="right"),
-            rates.shape[1],
-        )
-        r += 1
-        # geometric coordinates >= 1: P(x > k) = P(E > k r alpha) = e^{-k r alpha}
-        x1 = 1 + (rng.standard_exponential(r.size) / (a * r)).astype(np.int64)
-        x2 = 1 + (rng.standard_exponential(r.size) / (b * r)).astype(np.int64)
-        x1[family == 2] = 0
-        x2[family == 1] = 0
-        return chunk * CHUNK_REPLICAS, bounds, r, x1, x2
+    def draw(chunks: range) -> tuple:
+        rngs = [np.random.default_rng((spec.seed, chunk)) for chunk in chunks]
+        bounds = np.zeros(CHUNK_REPLICAS * len(rngs) + 1, dtype=np.int64)
+        for counts, rng in zip(bounds[1:].reshape(-1, CHUNK_REPLICAS), rngs):
+            counts[:] = rng.poisson(total, CHUNK_REPLICAS)
+        np.cumsum(bounds, out=bounds)
+        ends = bounds[::CHUNK_REPLICAS].tolist()  # each chunk's first pair
 
-    return map(draw, range(first // CHUNK_REPLICAS, -(-stop // CHUNK_REPLICAS)))
+        def fill(method: str) -> np.ndarray:
+            out = np.empty(ends[-1])
+            for rng, lo, hi in zip(rngs, ends, ends[1:]):
+                getattr(rng, method)(out=out[lo:hi])
+            return out
+
+        keys = fill("random")
+        keys *= total
+        index = invert(keys)
+        del keys
+
+        def coordinate(axis: int) -> np.ndarray:
+            # geometric x >= 1: P(x > k) = P(E > k r alpha) = e^{-k r alpha}
+            e = fill("standard_exponential")
+            ar = scale[axis].take(index)
+            e /= ar
+            present = ar < np.inf
+            del ar
+            x = e.astype(np.int64)
+            del e
+            x += present
+            return x
+
+        x1, x2 = coordinate(0), coordinate(1)
+        return chunks.start * CHUNK_REPLICAS, bounds, r_of.take(index), x1, x2
+
+    chunks = range(first // CHUNK_REPLICAS, -(-stop // CHUNK_REPLICAS))
+    return map(draw, (chunks[i : i + group] for i in range(0, len(chunks), group)))
 
 
 def samples(spec: SamplerSpec, first: int, stop: int):
     """Replicas first..stop-1 as a lazy iterator of partitions, drawing each
-    chunk once; the index and the caps of `_chunks` are checked at the call."""
+    group of chunks once; the index and the caps of `_chunks` are checked at
+    the call."""
     if first < 0:
         raise ValueError(f"replica index must be >= 0, got {first!r}")
     return _partitions(_chunks(spec, first, stop), first, stop)
 
 
 def _partitions(chunks, first: int, stop: int):
-    """The partitions of replicas first..stop-1 from the chunks that hold them."""
+    """The partitions of replicas first..stop-1 from the groups of `_chunks`
+    that hold them."""
     for base, bounds, r, x1, x2 in chunks:
-        for j in range(max(first - base, 0), min(stop - base, CHUNK_REPLICAS)):
+        for j in range(max(first - base, 0), min(stop - base, bounds.size - 1)):
             copies, p1, p2 = (v[bounds[j] : bounds[j + 1]] for v in (r, x1, x2))
             mult: Counter = Counter()
             for k, part in zip(copies.tolist(), zip(p1.tolist(), p2.tolist())):
@@ -156,7 +237,8 @@ class BatchResult:
 def sample_batch(spec: SamplerSpec, reps: int, tracked_parts: tuple = ()) -> BatchResult:
     """Replicas 0..reps-1 as arrays; replica i equals sample(spec, i).
 
-    A tracked part's multiplicity is the sum of r over the pairs on it.
+    A tracked part's multiplicity is the sum of r over the pairs on it.  Each
+    group of `_chunks` gives its rows at once, as differences of running sums.
     """
     if reps < 0:
         raise ValueError(f"reps must be >= 0, got {reps!r}")
@@ -166,12 +248,14 @@ def sample_batch(spec: SamplerSpec, reps: int, tracked_parts: tuple = ()) -> Bat
             raise ValueError(f"tracked part {p} is outside the part set")
     columns = np.empty((reps, 2 + len(tracked_parts)), dtype=np.int64)
     for base, bounds, r, x1, x2 in _chunks(spec, 0, reps):
-        rows = min(CHUNK_REPLICAS, reps - base)
+        rows = min(bounds.size - 1, reps - base)
         sums = np.zeros(r.size + 1, dtype=np.int64)
+        running = sums[1:]
         weights = [x1, x2] + [(x1 == p1) & (x2 == p2) for p1, p2 in tracked_parts]
         for col, w in enumerate(weights):
             # per-replica sums as differences of running sums, exact in int64
-            np.cumsum(r * w, out=sums[1:])
+            np.multiply(r, w, out=running)
+            np.cumsum(running, out=running)
             columns[base : base + rows, col] = (sums[bounds[1:]] - sums[bounds[:-1]])[:rows]
     return BatchResult(columns[:, :2], columns[:, 2:])
 
@@ -186,7 +270,11 @@ def char_fn(params: ShapeParams, part_set: PartSet, t: tuple[float, float]) -> c
     (alpha - i t1, beta - i t2) minus those at (alpha, beta)] over the part
     families, r up to the cut of `pair_rates` at tv_budget DEFAULT_TOL/2, whose
     table gives the real terms; past MAX_RATE_TERMS it raises TruncationError."""
-    real, _ = pair_rates(SamplerSpec(params, part_set, DEFAULT_TOL / 2))
+    try:
+        real, _ = _rate_table(params, part_set, DEFAULT_TOL / 2)
+    except TruncationError:
+        msg = f"the cut of phi at (alpha, beta) = ({params.alpha!r}, {params.beta!r})"
+        raise TruncationError(f"{msg} would pass {MAX_RATE_TERMS} terms of r") from None
     r = np.arange(1.0, real.shape[1] + 1.0)
     a, b = complex(params.alpha, -t[0]), complex(params.beta, -t[1])
     # each shifted term is at most its real one in modulus, so the terms past

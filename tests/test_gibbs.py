@@ -1,6 +1,7 @@
 """Unit tests for the sampler, characteristic function and LLT diagnostics."""
 
 import cmath
+import hashlib
 import itertools
 import json
 import math
@@ -20,6 +21,8 @@ from bipartitions.exact_count import PartSet, Target, count_table
 from bipartitions.gibbs import (
     CHUNK_REPLICAS,
     FIRST_K,
+    GROUP_PAIRS,
+    GUIDE_BUCKETS,
     LYAPUNOV_TOL,
     MAX_CHUNK_PAIRS,
     MAX_LATTICE_CELLS,
@@ -27,6 +30,7 @@ from bipartitions.gibbs import (
     N_DIRECTIONS,
     SamplerSpec,
     TruncationError,
+    _inverse_cdf,
     _lyapunov_lattice,
     _tail_bound,
     _upper_gammas,
@@ -46,6 +50,63 @@ NONZERO = PartSet.NONZERO_VECTORS
 # calibrated nonzero (1000, 10^6), frozen; at the default budget its rate
 # table is cut at r = 4578, in the seventh block of the series kernel
 CALIBRATED_1000 = ShapeParams(0.8260637084168684, 0.001579979688045396)
+STRICT = PartSet.STRICT_POSITIVE
+
+# sha256 of sample_batch(spec, reps, tracked) (Ns then tracked_draws, as bytes)
+# and of the `bipart sample --reps cli_reps` JSON at the calibrated targets,
+# frozen from the sampler that drew each chunk on its own: chunk k's stream
+# (seed, k) and every value drawn from it must stay as they are
+FROZEN_REPS = {(10, 400): (4100, 130), (3, 3600): (11000, 130), (1000, 10**6): (130, 66)}
+FROZEN_DIGESTS = {
+    ((10, 400), "strict", 0): (
+        "c05176998e0cab873a95a8690a85a9cb0988511e3db8db2d7cf169ecfbffcf62",
+        "4f63c395fe68708153a1ed27621469ae3cc6209faed70c71140a950ffbfa3b97",
+    ),
+    ((10, 400), "strict", 7): (
+        "1e458c1032436a6af0dc033b52ebf2ba1271390c73fa690e4f876e08ad38ba0e",
+        "5aaac0ce5c9b710e9b1930daa6d6df99fc8a999cdc77026713ec46f6049e7bbe",
+    ),
+    ((10, 400), "nonzero", 0): (
+        "e5285786bf1e39a6bb2247eece0a6a5687a193d4b7b74768da6995a2830b17d9",
+        "94755f1dbd18e33a6b673d2eb27cc64d186172a00b9dbe5b597d12ce163579f0",
+    ),
+    ((10, 400), "nonzero", 7): (
+        "1b89c7959afe018564be1aa106df6304736758141cd4dcd2287645fd617f3271",
+        "1acd179618c44f78badfbfea059a114c2be7c9acecd09955d42b99ecb67fd0ed",
+    ),
+    ((3, 3600), "strict", 0): (
+        "b2ce5403f1851e0e62d0658017865aac3556d157defcc64473372677f7ff1ee6",
+        "ab064ab087c98c8354bf0b9d9a7b7cf2b4f623b5989d7dd32ad38f05d5895e8e",
+    ),
+    ((3, 3600), "strict", 7): (
+        "d28867407fce003152f3f4d22169eaab71ccfc2d88d8f60c490b03814f764f9a",
+        "46a52bc4cbd52bba2effb8f9e4a9d37383d093029308858e255e151ab608d1e5",
+    ),
+    ((3, 3600), "nonzero", 0): (
+        "4be605663e35aefe0b108b6d25f0484bec3a28963a6a9621472fced378c06997",
+        "c10d78f33873e4fbbfc1b6a7c6aadb066726fc3bbe13570ff5228b4798c7b72c",
+    ),
+    ((3, 3600), "nonzero", 7): (
+        "fb90ccd36d55c409fed77a304fc88a0a0bc44d61fe3b8c5785bbcfae87c22b74",
+        "fc3b4ea5287edc9d1fa4eaafe51b42880b098a3540149c930483617dfd1d0962",
+    ),
+    ((1000, 10**6), "strict", 0): (
+        "177f0e4dda67a652971df81bfa7d643773cf448718139662d7c1f593af508ffa",
+        "1d9712bdd988c8de164a6cda1912a84fc118ff3f6d3d0c4c7b58d69c7b850db0",
+    ),
+    ((1000, 10**6), "strict", 7): (
+        "d8f2a6e9522f61c4768fe992cde97b5c1afc2307d17a1117096ec05356f7a20f",
+        "97a9bd3d552ff56e376f80462d9328cddb65831db610541afc0667519d13326d",
+    ),
+    ((1000, 10**6), "nonzero", 0): (
+        "ff55a4fc2cbcb3b608037117a668bb19187e5de2c0da0b74935c399950f322a4",
+        "c0b8a977f0c35cab44f3be197c9037ddf7621b7daa9849c335852f8a7a94813b",
+    ),
+    ((1000, 10**6), "nonzero", 7): (
+        "e602017ca0f7abc17168afb1256363151bb4fb59e0e7924cf9b476beb2322780",
+        "eb64f87acdeebe75cdee29b80b85fcad379397410ca25fd5414d60096a533e18",
+    ),
+}
 
 
 class TestSampler:
@@ -67,21 +128,94 @@ class TestSampler:
 
     @pytest.mark.parametrize("part_set", list(PartSet))
     def test_batch_matches_single_draws_across_chunks(self, part_set):
-        # reps is not a multiple of the chunk, so the last chunk is cut
+        # reps is not a multiple of the chunk, so the last chunk is cut; a
+        # group of chunks holds at most GROUP_PAIRS replicas, so the batch
+        # spans a chunk boundary and a group boundary
         chunk = CHUNK_REPLICAS
-        reps = 2 * chunk + 5
+        reps = GROUP_PAIRS + 5
         tracked = ((1, 1), (2, 1)) + (((0, 1), (1, 0)) if part_set is NONZERO else ())
         spec = SamplerSpec(params=PARAMS, part_set=part_set, seed=4)
         batch = sample_batch(spec, reps, tracked_parts=tracked)
         assert batch.Ns.shape == (reps, 2)
-        listed = list(samples(spec, chunk - 1, chunk + 1))
-        for i in (0, chunk - 1, chunk, reps - 1):
+        group = next(gibbs._chunks(spec, 0, reps))[1].size - 1  # replicas in the first group
+        assert chunk < group < reps - 1
+        for edge in (chunk, group):
+            listed = list(samples(spec, edge - 1, edge + 1))
+            for i in (edge - 1, edge):
+                assert listed[i - edge + 1] == sample(spec, replica=i)
+        for i in (0, chunk - 1, chunk, group - 1, group, reps - 1):
             single = sample(spec, replica=i)
             assert tuple(batch.Ns[i]) == single.N
             for col, part in enumerate(tracked):
                 assert batch.tracked_draws[i, col] == single.multiplicities.get(part, 0)
-            if chunk - 1 <= i <= chunk:
-                assert listed[i - chunk + 1] == single
+
+    @pytest.mark.parametrize("key", list(FROZEN_DIGESTS))
+    def test_frozen_streams(self, key, capsys):
+        (n1, n2), parts, seed = key
+        part_set = PartSet(parts)
+        reps, cli_reps = FROZEN_REPS[(n1, n2)]
+        spec = SamplerSpec(calibrate(Target(n1, n2), part_set).params, part_set, seed=seed)
+        tracked = ((1, 1), (2, 1)) + (((0, 1), (1, 0)) if part_set is NONZERO else ())
+        batch = sample_batch(spec, reps, tracked_parts=tracked)
+        drawn = hashlib.sha256(batch.Ns.tobytes() + batch.tracked_draws.tobytes()).hexdigest()
+        argv = ["sample", "--n1", str(n1), "--n2", str(n2), "--parts", parts,
+                "--reps", str(cli_reps), "--seed", str(seed)]
+        assert main(argv) == 0
+        printed = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert (drawn, printed) == FROZEN_DIGESTS[key]
+
+    @pytest.mark.parametrize(
+        "table",
+        ["strict", "nonzero", "strict 1000", "nonzero 1000", "strict zero runs",
+         "nonzero zero runs", "edges on bucket ends", "one column", "zero", "subnormal"],
+    )
+    def test_inverse_cdf_is_searchsorted(self, table):
+        # the guide table gives searchsorted's index exactly, on keys at and
+        # beside every edge, every bucket end and the guide's widened ends
+        if table == "edges on bucket ends":
+            # at this total, the float just below bucket end k rounds into
+            # bucket k for hundreds of k, so an edge on every third end is
+            # missed unless the guide widens its ends
+            total = float.fromhex("0x1.fff1944f9451fp+9")
+            cdf = np.append(np.arange(3, GUIDE_BUCKETS, 3) * (total / GUIDE_BUCKETS), total)
+        elif table in ("one column", "zero", "subnormal"):
+            rates = {"one column": [0.7], "zero": [0.0, 0.0, 0.0], "subnormal": [1e-320, 2e-320]}
+            cdf = np.cumsum(rates[table])
+        else:
+            part_set = PartSet(table.split()[0])
+            params = CALIBRATED_1000 if table.endswith("1000") else PARAMS
+            rates = np.array(pair_rates(SamplerSpec(params, part_set))[0])
+            if table.endswith("zero runs"):  # repeated edges, also at both ends
+                rates[:, :2] = rates[:, 3:5] = rates[:, -3:] = 0.0
+            cdf = np.cumsum(rates)
+        total = cdf[-1]
+        ends = np.arange(GUIDE_BUCKETS + 2) * (total / GUIDE_BUCKETS)
+        points = np.concatenate([cdf, ends, ends * (1.0 - 1e-12), ends * (1.0 + 1e-12), [0.0]])
+        keys = np.concatenate(
+            [points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf),
+             [np.nextafter(total, 0.0)], total * np.random.default_rng(5).random(10_000)]
+        )
+        keys = keys[(keys >= 0.0) & (keys <= total)]
+        assert np.array_equal(_inverse_cdf(cdf)(keys), np.searchsorted(cdf[:-1], keys, "right"))
+
+    def test_peak_memory_per_pair(self):
+        # one chunk at calibrated nonzero (1000, 10^6) peaks below the ~60 bytes
+        # a pair that MAX_CHUNK_PAIRS assumes (~38 B traced), and a whole group
+        # of chunks at strict (10, 400) below that chunk's bound
+        chunk = SamplerSpec(CALIBRATED_1000, NONZERO)
+        bound = 60 * CHUNK_REPLICAS * pair_rates(chunk)[0].sum()
+        small = SamplerSpec(calibrate(Target(10, 400), STRICT).params, STRICT)
+        group = next(gibbs._chunks(small, 0, GROUP_PAIRS))[1].size - 1
+        assert group > CHUNK_REPLICAS
+        for spec, reps in ((chunk, CHUNK_REPLICAS), (small, group)):
+            sample_batch(spec, reps)  # caches filled outside the trace
+            tracemalloc.start()
+            try:
+                sample_batch(spec, reps)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
 
     @pytest.mark.parametrize("part", [(0, 1), (3, 0)])
     def test_axis_part_is_geometric(self, part):
@@ -196,10 +330,13 @@ class TestSampler:
         rates, _ = pair_rates(SamplerSpec(params=PARAMS, part_set=part_set))
         assert rates.flags.owndata and rates.flags.c_contiguous
 
-    @pytest.mark.parametrize("caller", ["cli sample", "char_fn grid", "64 samples"])
+    @pytest.mark.parametrize(
+        "caller", ["cli sample", "char_fn grid", "64 samples", "5 seeds twice"]
+    )
     def test_one_rate_table_per_spec(self, caller, monkeypatch, capsys):
-        # the table is cached per spec, so each caller makes one series pass
-        gibbs.pair_rates.cache_clear()  # the cache is process-wide
+        # the table is cached per (params, part set, budget), whatever the
+        # seed, so each caller makes one series pass
+        gibbs._rate_table.cache_clear()  # the cache is process-wide
         passes, series = [], gibbs._series
 
         def counted(*args, **kwargs):
@@ -213,6 +350,9 @@ class TestSampler:
         elif caller == "char_fn grid":
             for t in itertools.product(np.linspace(-1.0, 1.0, 17), repeat=2):
                 char_fn(PARAMS, NONZERO, t)
+        elif caller == "5 seeds twice":
+            for seed in [0, 1, 2, 3, 4] * 2:
+                sample_batch(SamplerSpec(params=PARAMS, part_set=NONZERO, seed=seed), 3)
         else:
             spec = SamplerSpec(params=PARAMS, part_set=NONZERO)
             for i in range(64):
@@ -294,6 +434,14 @@ class TestCharFn:
             math.fsum(terms.real), math.fsum(terms.imag)
         )
         assert abs(complex(diff.real, math.remainder(diff.imag, 2.0 * math.pi))) <= 1e-12
+
+    def test_cut_past_cap_names_phi(self):
+        # at calibrated nonzero (10, 4e9), beta ~ 2e-5, phi's cut would pass
+        # MAX_RATE_TERMS; the error says so, not a TV budget never given
+        params = calibrate(Target(10, 4 * 10**9), NONZERO).params
+        cap = rf"^the cut of phi at \(alpha, beta\) = .* would pass {MAX_RATE_TERMS} terms of r$"
+        with pytest.raises(TruncationError, match=cap):
+            char_fn(params, NONZERO, (0.01, 1e-6))
 
 
 def whitened_directions(params: ShapeParams, part_set: PartSet) -> np.ndarray:
