@@ -70,7 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_coeffs = command("coeffs", cmd_coeffs, "exact expansion coefficients")
     p_coeffs.add_argument("--variant", choices=["c", "cbar"], required=True)
-    p_coeffs.add_argument("--order", type=int, required=True)
+    p_coeffs.add_argument(
+        "--order",
+        type=int,
+        required=True,
+        help="truncation order K, 1..8 for c and 1..6 for cbar; prints the K - 1 "
+        "coefficients of orders 1..K-1, so --order 1 prints nothing",
+    )
 
     p_cmp = command("compare", cmd_compare, "exact counts vs the asymptotic formula", parts)
     p_cmp.add_argument("--t", type=float, default=1.0)

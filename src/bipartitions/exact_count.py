@@ -72,6 +72,10 @@ class CountTable:
     counts: tuple  # tuple of row tuples of int
 
     def get(self, a: int, b: int) -> int:
+        """p_X(a, b); a cell outside the table raises ValueError, where a bare
+        index would wrap a negative a or b round to the far end of a row."""
+        if not (0 <= a <= self.max1 and 0 <= b <= self.max2):
+            raise ValueError(f"({a}, {b}) is outside the table (0..{self.max1}, 0..{self.max2})")
         return self.counts[a][b]
 
     def to_csv(self, stream: IO[str]) -> None:
@@ -81,23 +85,6 @@ class CountTable:
             f"{a},{b},{c}\r\n" for a, row in enumerate(self.counts) for b, c in enumerate(row)
         )
         stream.write("a,b,count\r\n" + "".join(lines))
-
-
-def parts_in_box(part_set: PartSet, n1: int, n2: int) -> list[tuple[int, int]]:
-    """All parts of the given set fitting in the box, in lexicographic order.
-
-    x1 ascending then x2 ascending, so for the nonzero set the vertical axis
-    parts (0, x2) come first.  The tests pin this order; `count_naive` walks
-    it in reverse.
-    """
-    parts: list[tuple[int, int]] = []
-    if part_set is PartSet.NONZERO_VECTORS:
-        parts.extend((0, x2) for x2 in range(1, n2 + 1))
-    for x1 in range(1, n1 + 1):
-        if part_set is PartSet.NONZERO_VECTORS:
-            parts.append((x1, 0))
-        parts.extend((x1, x2) for x2 in range(1, n2 + 1))
-    return parts
 
 
 def count_table(part_set: PartSet, n1: int, n2: int) -> CountTable:
@@ -210,7 +197,12 @@ def count_naive(part_set: PartSet, target: Target) -> int:
         raise ValueError(
             f"naive oracle limited to targets <= {NAIVE_LIMIT}, got {target}"
         )
-    parts = sorted(parts_in_box(part_set, target.n1, target.n2), reverse=True)
+    n1, n2 = target.n1, target.n2
+    low = 0 if part_set is PartSet.NONZERO_VECTORS else 1
+    parts = sorted(  # every part of the set in the box, largest first
+        [(x1, x2) for x1 in range(low, n1 + 1) for x2 in range(low, n2 + 1) if x1 or x2],
+        reverse=True,
+    )
 
     @lru_cache(maxsize=None)
     def ways(i: int, r1: int, r2: int) -> int:
@@ -224,7 +216,7 @@ def count_naive(part_set: PartSet, target: Target) -> int:
             total += ways(i, r1 - x1, r2 - x2)  # use one more copy
         return total
 
-    result = ways(0, target.n1, target.n2)
+    result = ways(0, n1, n2)
     ways.cache_clear()
     return result
 

@@ -1,13 +1,16 @@
-"""Truncated formal power series with exact rational coefficients.
+"""Exact correction coefficients of the two counting expansions.
 
-A series is a tuple of Fractions truncated at a fixed order.  On top of it,
-this module derives the exact correction coefficients of the two explicit
-counting expansions by Lagrange inversion: the rational c_k, and the cbar_k,
-each a polynomial in a = sqrt(zeta(2)) and 1/a, held as a dict exponent ->
-nonzero Fraction (a is never substituted numerically here).  With
-f(z) = sum_m sigma2(m) z^m/m^2, each expansion is read at the root z(w) of
-z = w phi(z), and [w^k] H(z(w)) = (1/k) [z^(k-1)] H' phi^k for k >= 1
-(Flajolet & Sedgewick, Analytic Combinatorics, 2009, Thm A.2) gives
+A truncated power series here is a plain list of K + 1 Fractions, the
+coefficients of z^0 .. z^K; `_mul`, `_inverse` and `_derivative` truncate
+back to that length, and `_coeff` reads one coefficient of a product, the
+only [z^k] reader of both pipelines.  On these lists the module derives the
+exact correction coefficients of the two explicit counting expansions by
+Lagrange inversion: the rational c_k, and the cbar_k, each a polynomial in
+a = sqrt(zeta(2)) and 1/a, held as a dict exponent -> nonzero Fraction (a is
+never substituted numerically here).  With f(z) = sum_m sigma2(m) z^m/m^2,
+each expansion is read at the root z(w) of z = w phi(z), and
+[w^k] H(z(w)) = (1/k) [z^(k-1)] H' phi^k for k >= 1 (Flajolet & Sedgewick,
+Analytic Combinatorics, 2009, Thm A.2) gives
 
     c_k = [z^k] (z H' - 1) phi^k / k    (phi = f/(z f'^2), H = 2f/(z f')),
     cbar_k = -[z^k] phi^k / (k (k + 1))    (phi = sqrt(a^2 + f)/f')
@@ -21,7 +24,6 @@ splits the second into rational series, one for each power of a:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -32,74 +34,38 @@ ZERO = Fraction(0)
 
 
 class AlgebraError(Exception):
-    """Raised when a series operation or an exact identity of a pipeline fails."""
+    """Raised when an exact identity of a coefficient pipeline fails."""
 
 
 # ---------------------------------------------------------------------------
-# Dense truncated series
+# Coefficient lists of one length
 # ---------------------------------------------------------------------------
 
 
-class Series:
-    """Dense power series truncated at a fixed order K (K+1 coefficients)."""
+def _coeff(a: list, b: list, k: int) -> Fraction:
+    """[z^k] of the product a b: sum_{i<=k} a_i b_(k-i), skipping the zero
+    terms (f^j starts with j zeros)."""
+    return sum((x * y for x, y in zip(a[: k + 1], b[k::-1]) if x and y), ZERO)
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs):
-        self.coeffs = tuple(coeffs)
-        if not self.coeffs:
-            raise ValueError("a series needs at least the constant coefficient")
+def _mul(a: list, b: list) -> list:
+    """Product a b, truncated to the length of a."""
+    return [_coeff(a, b, k) for k in range(len(a))]
 
-    @classmethod
-    def constant(cls, value, order: int) -> "Series":
-        return cls((value,) + (ZERO,) * order)
 
-    # -- arithmetic ---------------------------------------------------------
+def _inverse(a: list) -> list:
+    """Multiplicative inverse; a_0 must be nonzero."""
+    inv0 = Fraction(1) / a[0]
+    out = [inv0]
+    for n in range(1, len(a)):
+        # the ZERO stands in for the unknown out_n, which a_0 would multiply
+        out.append(-inv0 * _coeff(a, out + [ZERO], n))
+    return out
 
-    def __sub__(self, other: "Series") -> "Series":
-        self._check(other)
-        return Series(a - b for a, b in zip(self.coeffs, other.coeffs))
 
-    def __mul__(self, other: "Series") -> "Series":
-        self._check(other)
-        out = [ZERO] * len(self.coeffs)
-        for i, a in enumerate(self.coeffs):
-            if a != 0:
-                for j, b in enumerate(other.coeffs[: len(out) - i]):
-                    if b != 0:
-                        out[i + j] += a * b
-        return Series(out)
-
-    def _check(self, other: "Series") -> None:
-        if len(other.coeffs) != len(self.coeffs):
-            raise ValueError("series truncation order mismatch")
-
-    def scale(self, scalar) -> "Series":
-        """Multiply every coefficient by a scalar."""
-        return Series(c * scalar for c in self.coeffs)
-
-    def shift(self, k: int) -> "Series":
-        """Multiply by z^k (k >= 0) or divide by z^{-k}, checking exactness."""
-        n = len(self.coeffs)
-        if k >= 0:
-            return Series(((ZERO,) * k + self.coeffs)[:n])
-        if any(c != 0 for c in self.coeffs[:-k]):
-            raise AlgebraError(f"series is not divisible by z^{-k}")
-        return Series((self.coeffs + (ZERO,) * -k)[-k:])
-
-    def derivative(self) -> "Series":
-        """Formal derivative, truncated back to the same order."""
-        return Series([c * k for k, c in enumerate(self.coeffs) if k] + [ZERO])
-
-    def inverse(self) -> "Series":
-        """Multiplicative inverse; the constant term must be invertible."""
-        c = self.coeffs
-        inv0 = Fraction(1) / c[0]
-        out = [inv0]
-        for n in range(1, len(c)):
-            acc = sum((c[j] * out[n - j] for j in range(1, n + 1)), ZERO)
-            out.append(-inv0 * acc)
-        return Series(out)
+def _derivative(a: list) -> list:
+    """Formal derivative, truncated back to the same length."""
+    return [k * c for k, c in enumerate(a) if k] + [ZERO]
 
 
 # ---------------------------------------------------------------------------
@@ -137,23 +103,23 @@ class CoeffReport:
         ]
 
 
-def build_f(K: int) -> Series:
+def build_f(K: int) -> list:
     """f(z) = sum_{m>=1} sigma2(m)/m^2 z^m, truncated at order K."""
     if K < 1:
         raise ValueError("build_f requires K >= 1")
-    return Series([ZERO] + [Fraction(sigma2(m), m * m) for m in range(1, K + 1)])
+    return [ZERO] + [Fraction(sigma2(m), m * m) for m in range(1, K + 1)]
 
 
 MAX_ORDER_UNBARRED = 8
 MAX_ORDER_BARRED = 6
 
 
-def _powers(phi: Series, lead, K: int) -> list[Series]:
+def _powers(phi: list, lead, K: int) -> list[list]:
     """phi^1 .. phi^(K-1) by K - 2 products; phi(0) must be lead, the leading
     term of z(w) = lead w + ..., or the log terms do not cancel at order 0."""
-    if phi.coeffs[0] != lead:
-        raise AlgebraError(f"phi(0) = {phi.coeffs[0]} is not the leading term {lead}")
-    return list(accumulate(repeat(phi, K - 1), operator.mul))
+    if phi[0] != lead:
+        raise AlgebraError(f"phi(0) = {phi[0]} is not the leading term {lead}")
+    return list(accumulate(repeat(phi, K - 1), _mul))
 
 
 def corollary2_coeffs(K: int) -> CoeffReport:
@@ -169,14 +135,15 @@ def corollary2_coeffs(K: int) -> CoeffReport:
     if not (1 <= K <= MAX_ORDER_UNBARRED):
         raise ValueError(f"order must lie in [1, {MAX_ORDER_UNBARRED}]")
     f = build_f(K)
-    F, F2 = f.shift(-1), f.derivative()  # f = z F and f' = F2, both units
-    inv_F2 = F2.inverse()
-    H = (F * inv_F2).scale(2)
-    if H.coeffs[0] != 2:
+    inv_fprime = _inverse(_derivative(f))  # f'(0) = 1 makes f' a unit
+    G = _mul(f[1:] + [ZERO], inv_fprime)  # f/(z f'), with f/z = f[1:] as f(0) = 0
+    H = [2 * c for c in G]
+    if H[0] != 2:
         raise AlgebraError("H(0) is not the Stirling constant 2")
-    weight = H.derivative().shift(1) - Series.constant(Fraction(1), K)
-    powers = _powers(F * inv_F2 * inv_F2, 1, K)
-    coefficients = tuple((weight * p).coeffs[k] / k for k, p in enumerate(powers, 1))
+    weight = [k * c for k, c in enumerate(H)]  # z H' - 1
+    weight[0] -= 1
+    powers = _powers(_mul(G, inv_fprime), 1, K)
+    coefficients = tuple(_coeff(weight, p, k) / k for k, p in enumerate(powers, 1))
     return CoeffReport(label="c", coefficients=coefficients)
 
 
@@ -195,15 +162,13 @@ def corollary3_coeffs(K: int) -> CoeffReport:
     if not (1 <= K <= MAX_ORDER_BARRED):
         raise ValueError(f"order must lie in [1, {MAX_ORDER_BARRED}]")
     f = build_f(K)
-    inv_powers = _powers(f.derivative().inverse(), 1, K)  # f'^-1 .. f'^-(K-1)
-    f_powers = list(
-        accumulate(repeat(f, K - 1), operator.mul, initial=Series.constant(Fraction(1), K))
-    )
+    inv_powers = _powers(_inverse(_derivative(f)), 1, K)  # f'^-1 .. f'^-(K-1)
+    f_powers = list(accumulate(repeat(f, K - 1), _mul, initial=[Fraction(1)] + [ZERO] * K))
     coefficients = []
     for k, g in enumerate(inv_powers, 1):
         binom, laurent = Fraction(-1, k * (k + 1)), {}  # -C(k/2, j) / (k (k + 1))
         for j, fj in enumerate(f_powers[: k + 1]):
-            value = binom * sum(x * y for x, y in zip(fj.coeffs, g.coeffs[k::-1]))
+            value = binom * _coeff(fj, g, k)
             if value:
                 laurent[k - 2 * j] = value
             binom *= (Fraction(k, 2) - j) / (j + 1)

@@ -17,7 +17,6 @@ from bipartitions.exact_count import (
     count_1d,
     count_naive,
     count_table,
-    parts_in_box,
 )
 
 P1D = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
@@ -206,17 +205,6 @@ class TestConvolutionIdentity:
                 assert conv == nonzero.get(n1, n2)
 
 
-class TestPartsInBox:
-    def test_strict(self):
-        assert parts_in_box(PartSet.STRICT_POSITIVE, 2, 2) == [
-            (1, 1), (1, 2), (2, 1), (2, 2),
-        ]
-
-    def test_nonzero_order(self):
-        parts = parts_in_box(PartSet.NONZERO_VECTORS, 2, 2)
-        assert parts == [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
-
-
 class TestBudgetAndValidation:
     def test_budget_exceeded(self):
         # one cell over 2^26, refused before the float work and memory estimates
@@ -231,6 +219,13 @@ class TestBudgetAndValidation:
             Target(-1, 0)
         with pytest.raises(ValueError):
             count_table(PartSet.STRICT_POSITIVE, -1, 2)
+
+    def test_get_outside_the_table(self):
+        t = count_table(PartSet.STRICT_POSITIVE, 3, 3)
+        assert t.get(3, 3) == 4
+        for a, b in [(-1, -1), (-1, 0), (0, -1), (4, 0), (0, 4)]:
+            with pytest.raises(ValueError, match=rf"\({a}, {b}\) is outside the table"):
+                t.get(a, b)
 
     def test_part_set_names(self):
         assert PartSet("strict") is PartSet.STRICT_POSITIVE
