@@ -29,8 +29,8 @@ from .formal_series import corollary2_coeffs, corollary3_coeffs
 from .gibbs import SamplerSpec, llt_check, pair_rates, samples
 
 
-# Most pairs (r, part) that `bipart sample` may expect to draw: each costs
-# ~110 bytes while the output is built and ~4 us on a 2-core VM.
+# Most pairs (r, part) that `bipart sample` may expect to draw: each takes
+# ~4 us on a 2-core VM.  The output is written one replica at a time.
 MAX_SAMPLE_PAIRS = 10**6
 # Most rows `bipart rates` may tabulate: each takes 55-70 us on a 2-core VM,
 # so this many finish in ~7 s.
@@ -176,30 +176,29 @@ def cmd_sample(args, out: IO[str]) -> None:
     cal = calibrate(_target(args), part_set)
     spec = SamplerSpec(cal.params, part_set, args.tv_budget, args.seed)
     rates, tail_bound = pair_rates(spec)
-    log_z = float(rates.sum())  # the pairs a replica expects, each held as a JSON triple
+    log_z = float(rates.sum())  # the pairs a replica expects
     if args.reps * log_z > MAX_SAMPLE_PAIRS:
         msg = f"--reps {args.reps} at log Z = {log_z:.6g} expects {args.reps * log_z:.3g}"
         raise ValueError(f"{msg} pairs, above {MAX_SAMPLE_PAIRS}")
-    draws = [
-        {"replica": i, "N": list(drawn.N), "multiplicities": [
-            [x1, x2, m] for (x1, x2), m in sorted(drawn.multiplicities.items())
-        ]}
-        for i, drawn in enumerate(samples(spec, 0, args.reps))
-    ]
-    payload = {
+    draws = samples(spec, 0, args.reps)  # its caps are checked before anything is written
+    head = {
         "n1": args.n1,
         "n2": args.n2,
         "part_set": part_set.value,
         "alpha": cal.params.alpha,
         "beta": cal.params.beta,
         "seed": args.seed,
-        "replicas": draws,
-        "residuals": list(cal.residuals),
-        "max_r": rates.shape[1],
-        "tail_bound": tail_bound,
     }
-    # one json.dumps: json.dump runs the pure-Python encoder, ~7x slower
-    out.write(json.dumps(payload) + "\n")
+    tail = {"residuals": list(cal.residuals), "max_r": rates.shape[1], "tail_bound": tail_bound}
+    # the json.dumps of {**head, "replicas": [...], **tail}, written one replica
+    # at a time; json.dump would run the pure-Python encoder, ~7x slower
+    out.write(json.dumps(head)[:-1] + ', "replicas": [')
+    for i, drawn in enumerate(draws):
+        replica = {"replica": i, "N": list(drawn.N), "multiplicities": [
+            [x1, x2, m] for (x1, x2), m in sorted(drawn.multiplicities.items())
+        ]}
+        out.write((", " if i else "") + json.dumps(replica))
+    out.write("], " + json.dumps(tail)[1:] + "\n")
 
 
 def cmd_llt(args, out: IO[str]) -> None:

@@ -6,10 +6,8 @@ of its part (Flajolet, Fusy and Pivoteau 2007), with r cut where a certified
 tail bounds the total-variation distance.  Replicas come in chunks, one
 random stream per chunk, drawn a group of chunks at a time.  The diagnostics
 side evaluates the characteristic function of N, an upper bound on the
-scale-free Lyapunov ratio over a direction grid (a sum over one region
-alpha x1 + beta x2 <= K of the part lattice, walked in blocks of row
-segments that are summed for every direction at once from their suffix
-moments, plus a closed-form bound on the parts outside the region), and the
+scale-free Lyapunov ratio over a direction grid (by Cauchy-Schwarz, from the
+five quartic moments of the part lattice, summed as one r-series), and the
 normalized local-limit ratio against exact counts.
 """
 
@@ -304,169 +302,85 @@ def _inv_sqrt(matrix: np.ndarray) -> np.ndarray:
     return (v * (1.0 / np.sqrt(w))) @ v.T
 
 
-N_DIRECTIONS = 360  # directions on the half circle; must stay even (see lyapunov_bound)
-MAX_LATTICE_CELLS = 1 << 22  # most lattice cells the Lyapunov bound may sum
-# Cells summed at once.  A block holds about a dozen floats per cell and a few
-# times 360 per row segment; rows lengthen by at least a cell per step away
-# from the tip of the region, so a block has few segments (at most 64 in the
-# tests, under 1 MB).
-BLOCK_CELLS = 1 << 11
-FIRST_K = 8.0  # smallest edge K of the region (the tail bound T(K) needs K >= 3)
-# the bound is at most 1 + LYAPUNOV_TOL/2 times the full lattice sum
-LYAPUNOV_TOL = 1e-10
+N_DIRECTIONS = 360  # directions on the half circle
+_CIRCLE = np.stack([np.cos(np.pi * np.arange(N_DIRECTIONS) / N_DIRECTIONS),
+                    np.sin(np.pi * np.arange(N_DIRECTIONS) / N_DIRECTIONS)])
+# Most r-terms the quartic-moment series may be expected to take, estimated
+# as log(1/DEFAULT_TOL)/decay (0.7-3.8 times the terms taken, measured)
+MAX_LYAPUNOV_TERMS = 1 << 20
 
 
-def _check_cells(k: float, a: float, b: float) -> None:
-    """Refuse the region a x1 + b x2 <= k if it may hold more cells than the
-    cap: row x1 of it holds at most (k - a x1)/b + 1 cells."""
-    rows = math.floor(k / a) + 1
-    cells = rows * (k / b + 1.0) - a / b * rows * (rows - 1) / 2
-    if cells > MAX_LATTICE_CELLS:
-        msg = f"the Lyapunov lattice at (alpha, beta) = ({a!r}, {b!r}) may take"
-        raise ValueError(f"{msg} {cells:.0f} cells, above the cap of {MAX_LATTICE_CELLS}")
+def _quartic_moments(params: ShapeParams, part_set: PartSet) -> tuple:
+    """(M, dropped, terms, tail): M[i] = sum_x x1^i x2^{4-i} q/(1-q)^4 over the
+    part set, q = e^{-(alpha x1 + beta x2)}, i = 0..4, as one `_series` pass.
 
+    q/(1-q)^4 = sum_k C(k+2, 3) q^k, so M[i] = sum_k C(k+2, 3) G_i(k alpha)
+    G_{4-i}(k beta), and the nonzero set's axes add sum_k C(k+2, 3) G_4(k alpha)
+    to M[4] and sum_k C(k+2, 3) G_4(k beta) to M[0].  As G_i(x + a) <= e^{-a}
+    G_i(x) and C(k+3, 3)/C(k+2, 3) <= ((k+1)/k)^3, the terms obey the kernel's
+    ratio bound with decay alpha + beta (min(alpha, beta) with the axes) and
+    growth 3.  Each M[i] is summed in units of its k = 1 term, in which tail,
+    the kernel's bound, is stated; dropped[i] = tail * unit is at least the
+    terms it left out.  Rates whose series may pass MAX_LYAPUNOV_TERMS raise
+    ValueError before the pass, and a first term that overflows in it."""
+    a, b = params.alpha, params.beta
+    nonzero = part_set is PartSet.NONZERO_VECTORS
+    decay = min(a, b) if nonzero else a + b
+    expected = math.log(1.0 / DEFAULT_TOL) / decay
+    if expected > MAX_LYAPUNOV_TERMS:
+        msg = f"the Lyapunov series at (alpha, beta) = ({a!r}, {b!r}) may take"
+        raise ValueError(f"{msg} {expected:.3g} terms, above the cap of {MAX_LYAPUNOV_TERMS}")
+    unit = None  # the k = 1 terms, from the first block
 
-def _upper_gammas(n: int, k: float) -> list[float]:
-    """Gamma(i + 1, k) = int_k^inf y^i e^{-y} dy = i! e^{-k} sum_{j <= i} k^j / j!
-    for i = 0..n, from one pass over the partial sums."""
-    e = math.exp(-k)
-    term = partial = factorial = 1.0  # k^i / i!, sum_{j <= i} k^j / j!, i!
-    values = [e]
-    for i in range(1, n + 1):
-        term *= k / i
-        partial += term
-        factorial *= i
-        values.append(factorial * e * partial)
-    return values
+    def block(r):
+        nonlocal unit
+        with np.errstate(over="ignore"):  # a first term that overflows is refused below
+            g = _geometric(np.multiply.outer([a, b], r), 4)  # g[i] = (G_i(a r), G_i(b r))
+            m = np.stack([g[i][0] * g[4 - i][1] for i in range(5)])
+        if nonzero:
+            m[[4, 0]] += g[4]  # the axes x2 = 0 and x1 = 0
+        if unit is None:
+            if not np.isfinite(m[:, 0]).all():
+                raise ValueError(f"a quartic moment at (alpha, beta) = ({a!r}, {b!r}) overflows")
+            unit = np.maximum(m[:, :1], sys.float_info.min)
+        m *= r * (r + 1.0) * (r + 2.0) / 6.0
+        m /= unit
+        return m
 
-
-def _tail_bound(k: float, a: float, b: float, c: float) -> float:
-    """T(k) = 3c^3/(1 - e^{-k})^3 int_k^inf (y/a + 1)(y/b + 1)(y^3 - 3y^2) e^{-y} dy,
-    for k >= 3 a bound on sum |t.x|^3 w over the parts with y = a x1 + b x2 > k,
-    for every t with |t.x| <= c y.
-
-    There w <= 3 e^{-y}/(1 - e^{-k})^3, so the sum is at most that factor
-    times the Stieltjes integral of f(y) = y^3 e^{-y} against the count N(y)
-    of parts with a x1 + b x2 <= y.  f falls for y > 3, so integrating by
-    parts with N(y) <= (y/a + 1)(y/b + 1) and -f' = (y^3 - 3y^2) e^{-y} gives
-    T.  The integrand is a degree-5 polynomial times e^{-y}: a sum of
-    incomplete gamma functions.
-    """
-    s, p = 1.0 / (a * b), 1.0 / a + 1.0 / b
-    # (s y^2 + p y + 1)(y^3 - 3y^2) = s y^5 + (p - 3s) y^4 + (1 - 3p) y^3 - 3y^2
-    g = _upper_gammas(5, k)
-    integral = s * g[5] + (p - 3.0 * s) * g[4] + (1.0 - 3.0 * p) * g[3] - 3.0 * g[2]
-    return 3.0 * c**3 * integral / (-math.expm1(-k)) ** 3
-
-
-def _edge(target: float, a: float, b: float, c: float) -> float:
-    """The smallest integer k >= FIRST_K with T(k) <= target (T falls with k)."""
-    k = FIRST_K
-    while _tail_bound(k, a, b, c) > target:
-        k += 1.0
-    return k
-
-
-def _segments(a: float, b: float, nonzero: bool, k: float):
-    """The rows of {x in the part set : a x1 + b x2 <= k} as arrays (x1, first
-    x2, cells), each row cut into segments of at most BLOCK_CELLS cells.  A row
-    starts at x2 = 1, or at x2 = 0 for x1 >= 1 in the nonzero set."""
-    x1 = np.arange(0 if nonzero else 1, math.floor(k / a) + 1)
-    start = np.where(nonzero & (x1 > 0), 0.0, 1.0)
-    n = np.maximum(np.floor((k - a * x1) / b) + 1.0 - start, 0.0).astype(np.int64)
-    pieces = -(-n // BLOCK_CELLS)
-    row = np.repeat(np.arange(n.size), pieces)
-    skip = BLOCK_CELLS * (np.arange(row.size) - np.repeat(np.cumsum(pieces) - pieces, pieces))
-    return x1[row], start[row] + skip, np.minimum(n[row] - skip, BLOCK_CELLS)
+    sums, terms, tail = _series(block, decay, 3.0)
+    return np.array(sums) * unit[:, 0], tail * unit[:, 0], terms, tail
 
 
 def lyapunov_bound(params: ShapeParams, part_set: PartSet) -> float:
-    """Upper bound max_t sum_x |t.x|^3 w(x) on the scale-free Lyapunov ratio
-    over a grid of directions t with ||Gamma^{1/2} t|| = 1, where
-    w = 3q/(1-q)^3 with q = e^{-<lambda,x>} is the Cauchy-Schwarz bound on a
-    part's third absolute moment.
+    """Upper bound on the scale-free Lyapunov ratio max_t sum_x |t.x|^3 w(x)
+    over a grid of N_DIRECTIONS directions t on the half circle with
+    ||Gamma^{1/2} t|| = 1, where w = 3q/(1-q)^3, q = e^{-<lambda,x>}, is the
+    Cauchy-Schwarz bound on a part's third absolute moment.
 
-    With (a, b) = (alpha, beta), the sum runs over one region R_K = {x :
-    a x1 + b x2 <= K} and adds the closed-form bound T(K) on every part
-    outside it (`_tail_bound`).  Holder's inequality gives a lower bound H on
-    the maximum before any cell is summed, and K is the smallest integer
-    >= FIRST_K with T(K) <= LYAPUNOV_TOL/2 H.  So the value is at least the
-    full lattice sum (up to rounding) and at most 1 + LYAPUNOV_TOL/2 times
-    it.  The region is walked once, in blocks of whole row segments, at most
-    BLOCK_CELLS cells each: with c = t1 x1 and d = t2 (t negated where
-    t2 < 0), a segment's sum of |c + d x2|^3 w for every t comes from its
-    suffix moments sum_{x2 >= A} x1^{3-p} x2^p w, split at the root of
-    c + d x2.  Rows run along the larger rate: for alpha < beta the bound is
-    taken at (beta, alpha).  The value is the same: both part sets are
-    symmetric under (x1, x2) -> (x2, x1), and the grid of angles
-    pi k / N_DIRECTIONS maps onto itself under theta -> pi/2 - theta because
-    N_DIRECTIONS is even, which it must stay.  A lattice whose R_8 passes
-    MAX_LATTICE_CELLS raises ValueError before the log-Z pass that gives
-    Gamma; one whose R_K may pass it raises before its first cell.
+    With v = q/(1-q)^2, the variance of a part's multiplicity, sum_x (t.x)^2 v
+    = t.Gamma t = 1, so Cauchy-Schwarz gives sum_x |t.x|^3 w <= 3 Q(t)^{1/2},
+    Q(t) = sum_x (t.x)^4 q/(1-q)^4 = sum_i C(4, i) t1^i t2^{4-i} M[i] from the
+    quartic moments of `_quartic_moments`.  The value is 3 (max_t Q)^{1/2},
+    each Q(t) raised by sum_i |C(4, i) t1^i t2^{4-i}| dropped[i], which bounds
+    the terms the series left out, so it never falls below the bound of the
+    full sums; it is 1.11-1.19 times the lattice sum itself.  The moments,
+    and their refusals, come before the log-Z pass that gives Gamma.
     """
-    _check_cells(FIRST_K, max(params.alpha, params.beta), min(params.alpha, params.beta))
-    gamma = np.array(gibbs_covariance(params, part_set))
-    return _lyapunov_lattice(params, part_set, gamma)[0]
+    return _lyapunov_series(params, part_set)[0]
 
 
-def _lyapunov_lattice(params: ShapeParams, part_set: PartSet, gamma):
-    """lyapunov_bound as (value, cells, tail_bound), the shape _series returns:
-    the cells summed and the bound on the parts outside them that value
-    includes.  gamma is the covariance of N at params."""
-    a, b = max(params.alpha, params.beta), min(params.alpha, params.beta)
-    if params.alpha < params.beta:
-        gamma = gamma[::-1, ::-1]  # the covariance at (beta, alpha)
-    angles = np.pi * np.arange(N_DIRECTIONS) / N_DIRECTIONS
-    whiten = _inv_sqrt(gamma)
-    t1, t2 = whiten @ np.stack([np.cos(angles), np.sin(angles)])
-    # |t.x| = |c1 x1 + d x2| with d >= 0, and |t.x| <= c (a x1 + b x2) for every t
-    c1, d = np.where(t2 < 0, -t1, t1), np.abs(t2)
-    c = max(float(np.abs(t1).max()) / a, float(d.max()) / b)
-    coef = np.stack([c1 * c1 * c1, 3.0 * c1 * c1 * d, 3.0 * c1 * d * d, d * d * d])
-    # c1 x1 + d x2 > 0 from x2 = floor(root x1) + 1 on; with d = 0 the sign is c1's
-    root = np.divide(-c1, d, out=-np.sign(c1) * 2.0**60, where=d > 0)
-    nonzero = part_set is PartSet.NONZERO_VECTORS
-    # Holder with sum_x (t.x)^2 q/(1-q)^2 = t.Gamma t = 1 gives
-    # sum_x |t.x|^3 w >= 3/sqrt(sum_x q) for every t, before any cell is summed
-    holder = 3.0 / math.sqrt(_log_z_terms(a, b, nonzero, 1.0, 0).sum())
-    k = _edge(0.5 * LYAPUNOV_TOL * holder, a, b, c)
-    _check_cells(k, a, b)
-    x1, start, n = _segments(a, b, nonzero, k)
-    total = np.zeros(n.size + 1, dtype=np.int64)
-    np.cumsum(n, out=total[1:])
-    sums = np.zeros(N_DIRECTIONS)
-    i = 0
-    while i < n.size:
-        j = int(np.searchsorted(total, total[i] + BLOCK_CELLS, side="right")) - 1
-        off = total[i : j + 1] - total[i]
-        x1c = np.repeat(x1[i:j], n[i:j])
-        x2c = np.arange(off[-1]) + np.repeat(start[i:j] - off[:-1], n[i:j])
-        # suffix moments S_p[k] = sum_{k' >= k} x1^{3-p} x2^p w over the block
-        terms = np.zeros((4, off[-1] + 1))
-        mono = terms[:, :-1]
-        g0, g1 = _geometric(a * x1c + b * x2c, 1)
-        mono[0] = 3.0 * g1 * (1.0 + g0)  # w = 3q/(1-q)^3 at q = e^{-(a x1 + b x2)}
-        for p in (1, 2, 3):
-            mono[p] = mono[p - 1] * x2c
-        mono[:3] *= x1c
-        mono[:2] *= x1c
-        mono[0] *= x1c
-        suffix = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
-        # for every segment and t, the first cell past the root of c1 x1 + d x2
-        past = np.floor(root * x1[i:j, None]) + 1.0 - start[i:j, None]
-        split = (np.clip(past, 0.0, n[i:j, None]) + off[:-1, None]).astype(np.intp)
-        # sum over a segment of |.|^3 = 2 (part past the root) - (whole segment),
-        # each a difference of suffix moments; the segments fill the block
-        ends = suffix[:, off[1:]].sum(axis=1)
-        sums += np.einsum(
-            "pk,pk->k",
-            coef,
-            2.0 * np.take(suffix, split, axis=1).sum(axis=1)
-            - (2.0 * ends + suffix[:, 0])[:, None],
-        )
-        i = j
-    tail = _tail_bound(k, a, b, c)
-    return float(sums.max()) + tail, int(total[-1]), tail
+def _lyapunov_series(params: ShapeParams, part_set: PartSet, gamma=None):
+    """lyapunov_bound as (value, terms, tail), the shape _series returns;
+    gamma is the covariance of N at params, formed here if not given."""
+    moments, dropped, terms, tail = _quartic_moments(params, part_set)
+    if gamma is None:
+        gamma = np.array(gibbs_covariance(params, part_set))
+    t1, t2 = _inv_sqrt(gamma) @ _CIRCLE
+    s1, s2 = t1 * t1, t2 * t2
+    # C(4, i) t1^i t2^{4-i}, i = 0..4, by products (a float power is ~25x slower)
+    mono = np.stack([s2 * s2, 4.0 * t1 * t2 * s2, 6.0 * s1 * s2, 4.0 * t1 * t2 * s1, s1 * s1])
+    quartic = moments @ mono + dropped @ np.abs(mono)
+    return 3.0 * math.sqrt(quartic.max()), terms, tail
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +395,10 @@ def llt_check(target: Target, part_set: PartSet) -> dict:
     P(N = n) comes from the exact count (its decimal string) and log Z; the
     Gaussian prediction includes the mean-offset factor
     exp(-||Gamma^{-1/2}(n - E N)||^2 / 2).  Gamma, log Z and E N come from one
-    log-Z pass, which the Lyapunov bound shares.  The keys keep the order in
-    which `bipart llt` prints them; "extras" holds the mean offset, log Z and
-    the Lyapunov lattice's cells and tail bound.
+    log-Z pass, whose Gamma the Lyapunov bound takes.  The keys keep the
+    order in which `bipart llt` prints them; "extras" holds the mean offset,
+    log Z, and the terms and tail bound of the Lyapunov bound's series (the
+    tail in units of each quartic moment's first term).
     """
     p_exact = count_table(part_set, target.n1, target.n2).get(target.n1, target.n2)
 
@@ -491,7 +406,7 @@ def llt_check(target: Target, part_set: PartSet) -> dict:
     log_z, mean1, mean2, caa, cab, cbb = _log_z_sums(params, part_set)
     gamma = np.array([[caa, cab], [cab, cbb]])
     det_gamma = float(np.linalg.det(gamma))
-    lyap, cells, tail_bound = _lyapunov_lattice(params, part_set, gamma)
+    lyap, terms, tail_bound = _lyapunov_series(params, part_set, gamma)
     log_p_n = math.log(p_exact) - (params.alpha * target.n1 + params.beta * target.n2) - log_z
     offset = _inv_sqrt(gamma) @ np.array([target.n1 - mean1, target.n2 - mean2])
     offset_sq = float(offset @ offset)
@@ -512,5 +427,5 @@ def llt_check(target: Target, part_set: PartSet) -> dict:
         "ellipse_radius": 1.0 / (4.0 * lyap),
         "gaussian_pred": math.exp(-0.5 * offset_sq) / (2.0 * math.pi * math.sqrt(det_gamma)),
         "extras": {"mean_offset_sq": offset_sq, "log_z": log_z,
-                   "lyapunov_cells": cells, "lyapunov_tail_bound": tail_bound},
+                   "lyapunov_terms": terms, "lyapunov_tail_bound": tail_bound},
     }

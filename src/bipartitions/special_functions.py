@@ -71,17 +71,30 @@ def _check_alpha(alpha) -> None:
 
 
 def _geometric(x, order: int) -> list:
-    """[G0, ..., G_order] at x, order <= 2, with G0 = 1/(e^x - 1) = sum_{k>=1} e^{-kx} and
+    """[G0, ..., G_order] at x, with G0 = 1/(e^x - 1) = sum_{k>=1} e^{-kx} and
     G_{k+1} = -G_k'.  Real x takes expm1: accurate as x -> 0, exactly 0 past x ~ 709.78.
-    Complex x (Re x > 0) takes e^{-x}/(1 - e^{-x}), 0 far out, where 1/expm1 is nan."""
+    Complex x (Re x > 0) takes e^{-x}/(1 - e^{-x}), 0 far out, where 1/expm1 is nan.
+
+    -d/dx = g (1 + g) d/dg at g = G0, so G_k = G1 R_k(g) for k >= 1, where
+    G1 = g (1 + g), R_1 = 1 and R_{k+1} = (1 + 2g) R_k + g (1 + g) R_k': the
+    coefficients are positive (R_4 = 1 + 14g + 36g^2 + 24g^3), so for real x
+    no term cancels."""
     if np.iscomplexobj(x):
         m = -x
         g = [np.exp(m) / -np.expm1(m)]
     else:
         with np.errstate(over="ignore"):
             g = [1.0 / np.expm1(x)]
-    for k in range(order):  # -d/dx = G0 (1 + G0) d/dG0 gives G_{k+1} = G_k (1 + (k+1) G0), k <= 1
-        g.append(g[k] * (1.0 + (k + 1.0) * g[0]))
+    if order:
+        g.append(g[0] * (1.0 + g[0]))
+    coef = [1.0]  # R_k, lowest power first
+    for _ in range(order - 1):
+        # [g^j] R_{k+1} = (j + 1) ([g^j] R_k + [g^(j-1)] R_k)
+        coef = [(j + 1.0) * (c + p) for j, (c, p) in enumerate(zip(coef + [0.0], [0.0] + coef))]
+        r = coef[-1]
+        for c in coef[-2::-1]:
+            r = r * g[0] + c
+        g.append(g[1] * r)
     return g
 
 

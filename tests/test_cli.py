@@ -3,12 +3,14 @@
 import json
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from bipartitions import cli, exact_count, gibbs
 from bipartitions.asymptotics import theorem_estimate
+from bipartitions.calibration import calibrate
 from bipartitions.cli import main
 from bipartitions.exact_count import PartSet, Target, count_table
 from bipartitions.gibbs import llt_check
@@ -302,6 +304,50 @@ class TestSample:
         n1 = sum(x1 * m for x1, _, m in rep["multiplicities"])
         assert rep["N"][0] == n1
 
+    @pytest.mark.parametrize("reps", [0, 1, 5])
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("parts", ["strict", "nonzero"])
+    def test_streamed_bytes_match_one_dumps(self, capsys, parts, seed, reps):
+        # the payload as one json.dumps, built the way the command built it
+        # before it wrote one replica at a time
+        part_set = PartSet(parts)
+        cal = calibrate(Target(10, 400), part_set)
+        spec = gibbs.SamplerSpec(cal.params, part_set, 1e-4, seed)
+        rates, tail_bound = gibbs.pair_rates(spec)
+        draws = [
+            {"replica": i, "N": list(drawn.N), "multiplicities": [
+                [x1, x2, m] for (x1, x2), m in sorted(drawn.multiplicities.items())
+            ]}
+            for i, drawn in enumerate(gibbs.samples(spec, 0, reps))
+        ]
+        payload = {
+            "n1": 10, "n2": 400, "part_set": parts, "alpha": cal.params.alpha,
+            "beta": cal.params.beta, "seed": seed, "replicas": draws,
+            "residuals": list(cal.residuals), "max_r": rates.shape[1], "tail_bound": tail_bound,
+        }
+        code, out, err = run(
+            capsys, "sample", "--n1", "10", "--n2", "400", "--parts", parts,
+            "--seed", str(seed), "--reps", str(reps),
+        )
+        assert (code, err) == (0, "")
+        assert out == json.dumps(payload) + "\n"
+
+    def test_output_memory_is_constant(self, tmp_path):
+        # 2,000 nonzero replicas at (10, 400) hold ~54,000 pairs; built as one
+        # payload they peaked at 7.4 MB traced, written one at a time at 1.6 MB
+        # (one group of chunks), which 20,000 replicas raise only to 1.9 MB
+        argv = ["sample", "--n1", "10", "--n2", "400", "--parts", "nonzero",
+                "--reps", "2000", "--output", str(tmp_path / "out.json")]
+        main(argv[:-4] + ["--reps", "1", "--output", str(tmp_path / "warm.json")])
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
+        assert len(json.loads((tmp_path / "out.json").read_text())["replicas"]) == 2000
+
     def test_truncation_report(self, capsys):
         code, out, _ = run(capsys, "sample", "--n1", "6", "--n2", "40", "--parts", "strict")
         assert code == 0
@@ -451,9 +497,10 @@ class TestLLT:
         assert payload["normalized_ratio"] == pytest.approx(
             2.0 * math.pi * math.sqrt(det) * math.exp(log_p), rel=1e-9
         )
-        # the tail bound the value includes is below gibbs.LYAPUNOV_TOL = 1e-10 of it
-        assert extras["lyapunov_cells"] > 0
-        assert 0.0 <= extras["lyapunov_tail_bound"] <= 1e-10 * payload["lyapunov"]
+        # the series' tail is stated in units of each quartic moment's first term
+        assert list(extras) == ["mean_offset_sq", "log_z", "lyapunov_terms", "lyapunov_tail_bound"]
+        assert extras["lyapunov_terms"] > 0
+        assert 0.0 <= extras["lyapunov_tail_bound"] < 1e-12
 
     @pytest.mark.parametrize("parts", ["strict", "nonzero"])
     def test_stdout_is_the_report(self, capsys, parts):

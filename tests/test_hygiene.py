@@ -378,10 +378,9 @@ def test_no_environment_reads():
     assert found == {}
 
 
-# the functions of the package that may call expm1: the geometric factor
-# G0 = 1/(e^x - 1) and its derivatives, and the Lyapunov tail bound, whose
-# (1 - e^{-k})^3 bounds a weight rather than evaluating one
-EXPM1_CALLERS = {"_geometric", "_tail_bound"}
+# the one function of the package that may call expm1: the geometric factor
+# G0 = 1/(e^x - 1) and its derivatives
+EXPM1_CALLERS = {"_geometric"}
 
 
 def expm1_callers(source: str) -> set[str]:

@@ -53,8 +53,17 @@ class TestGeometric:
                 exact = complex((-1) ** k * mpmath.diff(lambda y: 1 / mpmath.expm1(y), x, k))
                 assert abs(row[0] - exact) <= 2e-15 * abs(exact)
 
+    @pytest.mark.parametrize("x", [1e-3, 0.05, 1.0, 30.0, 700.0])
+    def test_orders_3_and_4_against_polylog(self, x):
+        # G_k(x) = sum_n n^k e^{-nx} = Li_{-k}(e^{-x}), by mpmath at 40 digits
+        rows = _geometric(np.array([x]), 4)
+        with mpmath.workdps(40):
+            for k in (3, 4):
+                exact = float(mpmath.polylog(-k, mpmath.exp(-mpmath.mpf(x))))
+                assert rows[k][0] == pytest.approx(exact, rel=4e-15)
+
     def test_rows_up_to_order(self):
-        assert [len(_geometric(1.0, k)) for k in range(3)] == [1, 2, 3]
+        assert [len(_geometric(1.0, k)) for k in range(5)] == [1, 2, 3, 4, 5]
 
     def test_far_out(self):
         # real x past ~709.78 gives exactly 0, as 1/expm1 does; complex x stays finite
