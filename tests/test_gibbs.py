@@ -597,9 +597,10 @@ class TestLyapunov:
 
     @pytest.mark.parametrize("part_set", list(PartSet))
     @pytest.mark.parametrize("point", SERIES_POINTS, ids=str)
-    def test_one_series_pass(self, point, part_set, monkeypatch):
-        # one kernel pass, with the decay alpha + beta (min(alpha, beta) with
-        # the axes) and growth 3, sums all five moments
+    def test_one_region_pass(self, point, part_set, monkeypatch):
+        # the whole region of the series, k = 1 to its cut, is summed in one
+        # kernel pass, with the decay alpha + beta (min(alpha, beta) with the
+        # axes) and growth 3, for all five moments
         params = rates_at(point, part_set)
         calls = []
 
@@ -634,6 +635,25 @@ class TestLyapunov:
         value = lyapunov_bound(ShapeParams(0.005, 0.005), part_set)
         assert time.perf_counter() - start < 1.0
         assert 0.0 < value < 1.0
+
+    @pytest.mark.parametrize("part_set", list(PartSet))
+    def test_region_past_cap_is_refused_before_its_first_cell(self, part_set, monkeypatch):
+        # the series' expected length log(1/DEFAULT_TOL)/decay is checked against
+        # the cap before its first term: 1% below the cap the pass starts, 1%
+        # above it the rates are refused and no term is summed
+        class Summed(Exception):
+            pass
+
+        def no_terms(*args, **kwargs):
+            raise Summed
+
+        monkeypatch.setattr(gibbs, "_series", no_terms)
+        cap = rf"may take [0-9.e+]+ terms, above the cap of {MAX_LYAPUNOV_TERMS}$"
+        for share, outcome in ((0.99, Summed), (1.01, ValueError)):
+            decay = math.log(1.0 / DEFAULT_TOL) / (share * MAX_LYAPUNOV_TERMS)
+            rate = decay if part_set is NONZERO else decay / 2.0
+            with pytest.raises(outcome, match=cap if outcome is ValueError else None):
+                lyapunov_bound(ShapeParams(rate, rate), part_set)
 
     def test_huge_lattice_fails_fast(self):
         # refused from the decay, before the log-Z pass and the series
