@@ -19,7 +19,6 @@ from .special_functions import ZETA2, _phi_and_derivatives
 
 MAX_ITER = 200
 REL_TOL = 1e-12  # |Theta(alpha) - t| <= REL_TOL * t at an accepted root
-MAX_STACK = 1024
 
 
 class ConvergenceError(ValueError):
@@ -32,8 +31,9 @@ class ShapeParams:
     beta: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError(f"shape parameters must be positive, got {self}")
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not 0 < value < math.inf:  # nan fails both comparisons
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def theta_roots(t, barred: bool):
     ratio of t, P = Phi (+ pi^2/6 if barred), from the pass that accepted it.
 
     One safeguarded Newton loop from alpha = 1 over all unconverged ratios,
-    one stacked (Phi, Phi', Phi'') pass per step.  Theta falls from +inf to 0,
+    one stacked (Phi, Phi', Phi'') call per step.  Theta falls from +inf to 0,
     so each evaluation narrows a ratio's bracket (lo, hi); alpha doubles or
     halves until both sides are known, then a Newton step that leaves the
     bracket is replaced by bisection.  Beyond alpha ~ 709.78 (e^alpha
@@ -76,9 +76,7 @@ def theta_roots(t, barred: bool):
             return roots
         if x.min() < 1e-12:
             raise failure("root for target ratio {!r} lies below alpha = 1e-12", x.argmin())
-        # passes of at most MAX_STACK ratios bound the memory of a series block
-        passes = [_phi_and_derivatives(x[j : j + MAX_STACK]) for j in range(0, x.size, MAX_STACK)]
-        p, dp, ddp = np.concatenate(passes, axis=1)
+        p, dp, ddp = _phi_and_derivatives(x)
         if barred:
             p += ZETA2
         with np.errstate(divide="ignore", invalid="ignore"):

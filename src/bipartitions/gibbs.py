@@ -70,13 +70,13 @@ class SampledPartition:
 
 def pair_rates(spec: SamplerSpec) -> tuple[np.ndarray, float]:
     """Rates lambda[f, r - 1] of the pairs (r, part) of each part family f (the
-    order-0 rows of `_log_z_terms`), formed block by block up to the cut in r
-    that `_series` sets at tol = tv_budget, and its bound on the rate of the
-    dropped pairs, which bounds the chance that one occurs and so the TV
-    distance.  As G0(x + a) <= e^{-a} G0(x), the total rate shrinks by e^{-decay}
-    per step.  A block past MAX_RATE_TERMS raises TruncationError.  Cached per
-    (params, part set, budget), whatever the seed, so the table is read-only:
-    its callers share it."""
+    order-0 rows of `_log_z_terms`) up to the cut in r that `_series` sets at
+    tol = tv_budget, and its bound on the rate of the dropped pairs, which
+    bounds the chance that one occurs and so the TV distance.  As
+    G0(x + a) <= e^{-a} G0(x), the total rate shrinks by e^{-decay} per step.
+    A cut past MAX_RATE_TERMS raises TruncationError naming (alpha, beta).
+    Cached per (params, part set, budget), whatever the seed, so the table is
+    read-only: its callers share it."""
     return _rate_table(spec.params, spec.part_set, spec.tv_budget)
 
 
@@ -88,17 +88,15 @@ def pair_rates(spec: SamplerSpec) -> tuple[np.ndarray, float]:
 def _rate_table(params: ShapeParams, part_set: PartSet, tv_budget: float) -> tuple:
     a, b = params.alpha, params.beta
     nonzero = part_set is PartSet.NONZERO_VECTORS
-    kept = []
 
     def block(r: np.ndarray) -> np.ndarray:
         if r[-1] > MAX_RATE_TERMS:
-            msg = f"tv_budget {tv_budget!r} may need more than {MAX_RATE_TERMS} terms of r"
-            raise TruncationError(msg)
-        kept.append(_log_z_terms(a, b, nonzero, r, 0))
-        return kept[-1].sum(axis=0)
+            msg = f"the cut in r at (alpha, beta) = ({a!r}, {b!r}) would pass"
+            raise TruncationError(f"{msg} {MAX_RATE_TERMS} terms of r")
+        return _log_z_terms(a, b, nonzero, r, 0).sum(axis=0)
 
     _, cut, tail = _series(block, min(a, b) if nonzero else a + b, 0.0, tol=tv_budget)
-    rates = np.concatenate(kept, axis=1)[:, :cut].copy()  # frees the columns past the cut
+    rates = _log_z_terms(a, b, nonzero, np.arange(1.0, cut + 1.0), 0)
     rates.setflags(write=False)
     return rates, tail
 
@@ -268,11 +266,7 @@ def char_fn(params: ShapeParams, part_set: PartSet, t: tuple[float, float]) -> c
     (alpha - i t1, beta - i t2) minus those at (alpha, beta)] over the part
     families, r up to the cut of `pair_rates` at tv_budget DEFAULT_TOL/2, whose
     table gives the real terms; past MAX_RATE_TERMS it raises TruncationError."""
-    try:
-        real, _ = _rate_table(params, part_set, DEFAULT_TOL / 2)
-    except TruncationError:
-        msg = f"the cut of phi at (alpha, beta) = ({params.alpha!r}, {params.beta!r})"
-        raise TruncationError(f"{msg} would pass {MAX_RATE_TERMS} terms of r") from None
+    real, _ = _rate_table(params, part_set, DEFAULT_TOL / 2)
     r = np.arange(1.0, real.shape[1] + 1.0)
     a, b = complex(params.alpha, -t[0]), complex(params.beta, -t[1])
     # each shifted term is at most its real one in modulus, so the terms past
@@ -334,9 +328,8 @@ def _quartic_moments(params: ShapeParams, part_set: PartSet) -> tuple:
 
     def block(r):
         nonlocal unit
-        with np.errstate(over="ignore"):  # a first term that overflows is refused below
-            g = _geometric(np.multiply.outer([a, b], r), 4)  # g[i] = (G_i(a r), G_i(b r))
-            m = np.stack([g[i][0] * g[4 - i][1] for i in range(5)])
+        g = _geometric(np.multiply.outer([a, b], r), 4)  # g[i] = (G_i(a r), G_i(b r))
+        m = np.stack([g[i][0] * g[4 - i][1] for i in range(5)])
         if nonzero:
             m[[4, 0]] += g[4]  # the axes x2 = 0 and x1 = 0
         if unit is None:

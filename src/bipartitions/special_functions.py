@@ -30,11 +30,12 @@ DEFAULT_TOL = 1e-12
 # caps on the terms per series and on the cells (terms x series) of a block.
 # Every block holds at least _FIRST_BLOCK terms per series, so these caps do not
 # bound the memory of a tall stack: one (Phi, Phi', Phi'') pass over 20,000
-# stacked alphas peaks at 62.6 MB traced (1,024 alphas: 3.2 MB).  What bounds
-# the stack height is calibration.MAX_STACK.
+# stacked alphas peaks at 62.6 MB traced (1,024 alphas: 3.2 MB), and
+# _phi_and_derivatives stacks at most MAX_STACK alphas per pass.
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 4096
 _MAX_BLOCK_CELLS = 2**18
+MAX_STACK = 1024
 _MAX_TERMS = 100_000_000
 _TINY = np.finfo(float).tiny
 
@@ -109,16 +110,19 @@ def _series(block, decay: float, growth: float, tol: float = DEFAULT_TOL):
     |t(r)| q_r / (1 - q_r); the sum stops at the first r where that is below tol for
     every series: absolute in the terms' units, so relative to u for a series scaled
     by 1/u (tol is DEFAULT_TOL but in `gibbs.pair_rates`, its TV budget).
+    A block with a term that is not finite raises ValueError naming its r.
     """
     parts = []
     start, size = 1, _FIRST_BLOCK
     while start <= _MAX_TERMS:
         r = np.arange(start, start + size, dtype=float)
-        terms = block(r).reshape(-1, size)
         q = math.exp(-decay) * ((r + 1.0) / r) ** growth
-        largest = np.abs(terms).max(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            terms = block(r).reshape(-1, size)
+            largest = np.abs(terms).max(axis=0)
             tails = np.where(q < 1.0, largest * q / (1.0 - q), np.inf)
+        if not math.isfinite(largest.max()):  # nan propagates through max
+            raise ValueError(f"series term at r = {r[~np.isfinite(largest)][0]:.0f} is not finite")
         done = np.flatnonzero(tails < tol)
         stop = int(done[0]) + 1 if done.size else size
         parts.append(terms[:, :stop].sum(axis=1))
@@ -223,8 +227,11 @@ def _dirichlet_series(alpha, s: float, order: int):
 
 
 def _phi_and_derivatives(alpha):
-    """[Phi, Phi', Phi''] from one pass over r (lists for an array of alpha)."""
-    return _dirichlet_series(alpha, 2.0, 2)[0]
+    """[Phi, Phi', Phi''] from one pass over r (rows for an array of alpha, MAX_STACK per pass)."""
+    if np.ndim(alpha) == 0:
+        return _dirichlet_series(alpha, 2.0, 2)[0]
+    stacks = [alpha[j : j + MAX_STACK] for j in range(0, len(alpha), MAX_STACK)]
+    return np.concatenate([_dirichlet_series(a, 2.0, 2)[0] for a in stacks], axis=1)
 
 
 def dirichlet(alpha: float, s: float) -> float:

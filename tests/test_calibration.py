@@ -111,6 +111,12 @@ class TestSolveTheta:
         with pytest.raises(ConvergenceError, match=f"target ratio {t!r} is too small"):
             theta_roots(t, barred)
 
+    def test_newton_cap_names_ratio_and_bracket(self, monkeypatch):
+        monkeypatch.setattr(calibration, "MAX_ITER", 3)
+        cap = r"^Newton iteration cap exceeded at target ratio 0.5 \(bracket: \(.*\)\)$"
+        with pytest.raises(ConvergenceError, match=cap):
+            theta_roots([0.5, 1.0], False)
+
     @pytest.mark.parametrize("barred", [False, True])
     def test_batch_matches_single_solves(self, barred):
         roots = theta_roots(np.array(GRID), barred)[0]
@@ -233,6 +239,11 @@ class TestCalibrate:
             ShapeParams(alpha=0.0, beta=1.0)
         with pytest.raises(ValueError):
             ShapeParams(alpha=1.0, beta=-2.0)
+        # an infinite alpha would give phi = nan and a singular covariance
+        for name, bad in itertools.product(("alpha", "beta"), (math.inf, math.nan, -math.inf)):
+            refusal = f"^{name} must be finite and positive, got {bad!r}$"
+            with pytest.raises(ValueError, match=refusal):
+                ShapeParams(**{"alpha": 0.1, "beta": 0.1, name: bad})
 
 
 class TestOrderChecks:

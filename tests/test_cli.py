@@ -369,7 +369,7 @@ class TestSample:
         )
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
-        assert err.startswith("error: tv_budget 0.0001 may need")
+        assert err.startswith("error: the cut in r at (alpha, beta) = (")
         assert str(gibbs.MAX_RATE_TERMS) in err
 
     def test_subnormal_budget(self, capsys):

@@ -316,12 +316,37 @@ class TestSampler:
             samples(spec, 0, 1)
         # nonzero (10, 1e16): the rate table would pass MAX_RATE_TERMS
         cal = calibrate(Target(10, 10**16), NONZERO)
-        with pytest.raises(TruncationError, match=f"more than {MAX_RATE_TERMS} terms of r$"):
+        cap = rf"^the cut in r at \(alpha, beta\) = .* would pass {MAX_RATE_TERMS} terms of r$"
+        with pytest.raises(TruncationError, match=cap):
             samples(SamplerSpec(params=cal.params, part_set=NONZERO), 0, 1)
+
+    def test_refused_rate_table_keeps_no_block(self):
+        # nonzero (10, 1e16): the kernel forms MAX_RATE_TERMS columns block by
+        # block before it refuses, and none of them is kept
+        params = calibrate(Target(10, 10**16), NONZERO).params
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncationError):
+                pair_rates(SamplerSpec(params=params, part_set=NONZERO))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_overflowing_rate_is_refused_at_once(self):
+        # at alpha = beta = 1e-200 the first term G0(alpha) G0(beta) overflows:
+        # the kernel stops at it, before any other block is formed
+        params = ShapeParams(1e-200, 1e-200)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^series term at r = 1 is not finite$"):
+            log_z_direct(params, STRICT)
+        with pytest.raises(ValueError, match="^series term at r = 1 is not finite$"):
+            pair_rates(SamplerSpec(params=params, part_set=STRICT))
+        assert time.perf_counter() - start < 0.5
 
     @pytest.mark.parametrize("part_set", list(PartSet))
     def test_rates_own_their_data(self, part_set):
-        # the cut table is a copy, not a view that keeps the kernel's last block alive
+        # the table is its own array, not a view that keeps a longer one alive
         rates, _ = pair_rates(SamplerSpec(params=PARAMS, part_set=part_set))
         assert rates.flags.owndata and rates.flags.c_contiguous
 
@@ -432,9 +457,9 @@ class TestCharFn:
 
     def test_cut_past_cap_names_phi(self):
         # at calibrated nonzero (10, 4e9), beta ~ 2e-5, phi's cut would pass
-        # MAX_RATE_TERMS; the error says so, not a TV budget never given
+        # MAX_RATE_TERMS; the error names (alpha, beta), not a TV budget never given
         params = calibrate(Target(10, 4 * 10**9), NONZERO).params
-        cap = rf"^the cut of phi at \(alpha, beta\) = .* would pass {MAX_RATE_TERMS} terms of r$"
+        cap = rf"^the cut in r at \(alpha, beta\) = .* would pass {MAX_RATE_TERMS} terms of r$"
         with pytest.raises(TruncationError, match=cap):
             char_fn(params, NONZERO, (0.01, 1e-6))
 
@@ -663,6 +688,11 @@ class TestLyapunov:
             with pytest.raises(ValueError, match=cap):
                 lyapunov_bound(ShapeParams(1e-6, 1e-6), part_set)
             assert time.perf_counter() - start < 1.0
+
+    def test_singular_covariance_is_refused(self):
+        # at alpha = beta = 800 every G_k underflows to 0.0, and so does Gamma
+        with pytest.raises(ValueError, match="^covariance matrix is not positive definite$"):
+            lyapunov_bound(ShapeParams(800.0, 800.0), STRICT)
 
     def test_overflowing_moment_is_refused(self):
         # at alpha = 1e-70 the decay alpha + beta is 1, but G4(alpha) overflows

@@ -1,4 +1,4 @@
-"""Source hygiene: every name a module or test file imports is used, every
+"""Source hygiene: every name a module, test file or tool imports is used, every
 private module-level name and every non-dunder method of the package is read
 somewhere in it, every public module-level name of a module is read by that
 module, or imported from it or read as module.name in the package or the bench
@@ -146,7 +146,8 @@ def test_public_detector():
 
 
 def source_files() -> list[Path]:
-    files = sorted([*ROOT.glob("src/bipartitions/*.py"), *ROOT.glob("tests/*.py")])
+    dirs = ("src/bipartitions", "tests", "tools")
+    files = sorted(path for d in dirs for path in ROOT.glob(f"{d}/*.py"))
     assert files
     return files
 

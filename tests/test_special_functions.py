@@ -96,6 +96,23 @@ class TestPhi:
 
 
 class TestDerivatives:
+    def test_array_is_summed_in_capped_stacks(self, monkeypatch):
+        # an array of alphas takes one pass per MAX_STACK of them
+        alphas = np.array([0.3, 0.7, 1.0, 2.0, 5.0])
+        whole = _phi_and_derivatives(alphas)
+        stacks = []
+        direct = special_functions._dirichlet_series
+
+        def recorded(alpha, *args):
+            stacks.append(len(alpha))
+            return direct(alpha, *args)
+
+        monkeypatch.setattr(special_functions, "MAX_STACK", 2)
+        monkeypatch.setattr(special_functions, "_dirichlet_series", recorded)
+        stacked = _phi_and_derivatives(alphas)
+        assert stacks == [2, 2, 1] and stacked.shape == whole.shape == (3, 5)
+        assert stacked.ravel().tolist() == pytest.approx(whole.ravel().tolist(), rel=1e-13)
+
     def test_frozen_values(self):
         assert _phi_and_derivatives(1.0)[1] == pytest.approx(-1.0362871355745795, rel=1e-11)
         assert _phi_and_derivatives(1.0)[2] == pytest.approx(2.3214805734350406, rel=1e-11)
@@ -146,6 +163,16 @@ class TestValidation:
         monkeypatch.setattr(special_functions, "_MAX_TERMS", 10_000)
         with pytest.raises(ValueError, match="^series failed to converge"):
             dirichlet(1e-6, 3.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_term_stops_the_series(self, bad):
+        # the terms would run past the first block; the one at r = 100, in the
+        # second block, is not finite, and the kernel stops there
+        def block(r):
+            return np.where(r == 100.0, bad, np.exp(-r / 1000.0))
+
+        with pytest.raises(ValueError, match="^series term at r = 100 is not finite$"):
+            special_functions._series(block, 1e-3, 0.0)
 
     def test_overflow_is_an_error(self):
         # Phi'' = 2 zeta(3)/alpha^3 overflows below alpha ~ 2e-103
