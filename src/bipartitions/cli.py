@@ -29,8 +29,10 @@ from .formal_series import corollary2_coeffs, corollary3_coeffs
 from .gibbs import SamplerSpec, llt_check, pair_rates, samples
 
 
-# Most pairs (r, part) that `bipart sample` may expect to draw: each takes
-# ~4 us on a 2-core VM.  The output is written one replica at a time.
+# Most pairs (r, part) that `bipart sample` may expect to draw: at this cap
+# (10, 400) took 1.3 us a pair nonzero and 2.2 us strict, whose smaller
+# replicas cost more per pair (2-core VM).  The output is written one replica
+# at a time.
 MAX_SAMPLE_PAIRS = 10**6
 # Most rows `bipart rates` may tabulate: each takes 55-70 us on a 2-core VM,
 # so this many finish in ~7 s.

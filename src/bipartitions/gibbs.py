@@ -40,6 +40,13 @@ GROUP_PAIRS = 1 << 15
 # but at nonzero (10, 10^6) with tv_budget 1e-300 (1.6e6 entries) that guide
 # took 0.3 s and ~100 MB to build, where a whole chunk takes 0.03 s (2-core VM)
 GUIDE_BUCKETS = 1 << 12
+# chunks whose stream seeds are hashed at once, in whole groups: at 32 bytes
+# of seed words a chunk, a lazy range holds at most ~32 KB of them
+_SEED_BLOCK = 1 << 10
+# the constants of numpy's SeedSequence (O'Neill's seed_seq hash, 4-word pool)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 class TruncationError(ValueError):
@@ -129,6 +136,96 @@ def _inverse_cdf(cdf: np.ndarray):
     return invert
 
 
+def _uint32_words(n: int) -> list:
+    """The 32-bit words of n >= 0, least significant first ([0] for 0), as
+    SeedSequence splits an int of its entropy."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_words(seed: int, first: int, n: int) -> np.ndarray:
+    """Row i < n is SeedSequence((seed, first + i)).generate_state(4, np.uint64),
+    the words that seed chunk first + i's PCG64, for chunks that share k >> 32.
+
+    The entropy of (seed, k) is the words of seed, then those of k: for
+    these chunks only k's low word varies, so SeedSequence's hash runs once,
+    step for step, on uint32 arrays over the chunks.  The first row is
+    checked against numpy's own SeedSequence (one chunk takes that row as
+    it is), so a change of numpy's hash stops the sampler rather than its
+    streams."""
+    reference = np.random.SeedSequence((seed, first)).generate_state(4, np.uint64)
+    if n == 1:
+        return reference[None]
+    seed_words = _uint32_words(seed)
+    entropy = [np.array([w], np.uint32) for w in seed_words + _uint32_words(first)]
+    entropy[len(seed_words)] = np.arange(first & _MASK32, (first & _MASK32) + n, dtype=np.uint32)
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value *= const
+        value ^= value >> 16
+        return value
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_L - y * _MIX_R
+        result ^= result >> 16
+        return result
+
+    zero = np.zeros(1, np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.empty((n, 8), np.uint32)
+    const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value *= const
+        value ^= value >> 16
+        state[:, i] = value
+    words = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    if not np.array_equal(words[0], reference):
+        raise RuntimeError("numpy's SeedSequence no longer hashes as the sampler's seeding does")
+    return words
+
+
+class _SeedWords:
+    """One chunk's seed words, handed to np.random.PCG64 in place of the
+    SeedSequence((seed, k)) they come from: PCG64 asks for
+    generate_state(4, np.uint64) once and seeds itself from the answer."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype) -> np.ndarray:
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError(f"seed words are 4 uint64, not {n_words} {dtype}")
+        return self.words
+
+
+def _block_words(seed: int, chunks: range) -> np.ndarray:
+    """`_seed_words` over a range of chunks, one run per k >> 32."""
+    runs = []
+    k = chunks.start
+    while k < chunks.stop:
+        n = min(chunks.stop, (k >> 32) + 1 << 32) - k
+        runs.append(_seed_words(seed, k, n))
+        k += n
+    return np.concatenate(runs)
+
+
 def _chunks(spec: SamplerSpec, first: int, stop: int):
     """Checks the caps, then returns an iterator of (base, bounds, r, x1, x2),
     one per group of consecutive chunks with a replica in [first, stop), drawn
@@ -139,7 +236,11 @@ def _chunks(spec: SamplerSpec, first: int, stop: int):
     those of their x2.  A group holds the chunks that expect about GROUP_PAIRS
     pairs (at least one chunk), so each numpy call serves a whole group.  A
     pair's index in the flattened rate table comes from `_inverse_cdf`, and
-    its r and coordinates from tables over that index."""
+    its r and coordinates from tables over that index.
+
+    Stream (seed, k) is np.random.default_rng((seed, k)), built as a PCG64
+    on the words of `_block_words`, which hashes the seeds of a block of
+    whole groups (about _SEED_BLOCK chunks) at once, as they are reached."""
     rates, _ = pair_rates(spec)
     cdf = np.cumsum(rates)
     total = cdf[-1]
@@ -158,8 +259,8 @@ def _chunks(spec: SamplerSpec, first: int, stop: int):
     # GROUP_PAIRS replicas, and log Z = 0 needs no division
     group = max(1, int(GROUP_PAIRS // (CHUNK_REPLICAS * max(total, 1.0))))
 
-    def draw(chunks: range) -> tuple:
-        rngs = [np.random.default_rng((spec.seed, chunk)) for chunk in chunks]
+    def draw(start: int, words: np.ndarray) -> tuple:
+        rngs = [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
         bounds = np.zeros(CHUNK_REPLICAS * len(rngs) + 1, dtype=np.int64)
         for counts, rng in zip(bounds[1:].reshape(-1, CHUNK_REPLICAS), rngs):
             counts[:] = rng.poisson(total, CHUNK_REPLICAS)
@@ -190,10 +291,19 @@ def _chunks(spec: SamplerSpec, first: int, stop: int):
             return x
 
         x1, x2 = coordinate(0), coordinate(1)
-        return chunks.start * CHUNK_REPLICAS, bounds, r_of.take(index), x1, x2
+        return start * CHUNK_REPLICAS, bounds, r_of.take(index), x1, x2
 
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
     chunks = range(first // CHUNK_REPLICAS, -(-stop // CHUNK_REPLICAS))
-    return map(draw, (chunks[i : i + group] for i in range(0, len(chunks), group)))
+    block = group * max(1, _SEED_BLOCK // group)
+
+    def groups():
+        for i in range(0, len(chunks), block):
+            words = _block_words(spec.seed, chunks[i : i + block])
+            for j in range(0, len(words), group):
+                yield draw(chunks[i + j], words[j : j + group])
+
+    return groups()
 
 
 def samples(spec: SamplerSpec, first: int, stop: int):
@@ -234,7 +344,8 @@ def sample_batch(spec: SamplerSpec, reps: int, tracked_parts: tuple = ()) -> Bat
     """Replicas 0..reps-1 as arrays; replica i equals sample(spec, i).
 
     A tracked part's multiplicity is the sum of r over the pairs on it.  Each
-    group of `_chunks` gives its rows at once, as differences of running sums.
+    group of `_chunks` gives its rows at once, as sums of r x1, r x2 and r
+    [part == p] over each replica's segment of pairs by np.add.reduceat.
     """
     if reps < 0:
         raise ValueError(f"reps must be >= 0, got {reps!r}")
@@ -245,14 +356,17 @@ def sample_batch(spec: SamplerSpec, reps: int, tracked_parts: tuple = ()) -> Bat
     columns = np.empty((reps, 2 + len(tracked_parts)), dtype=np.int64)
     for base, bounds, r, x1, x2 in _chunks(spec, 0, reps):
         rows = min(bounds.size - 1, reps - base)
-        sums = np.zeros(r.size + 1, dtype=np.int64)
-        running = sums[1:]
+        starts, end = bounds[:rows], bounds[rows]
+        empty = starts == bounds[1 : rows + 1]
+        # one 0 past the pairs, so an empty replica's start is a valid index
+        products = np.zeros(end + 1, dtype=np.int64)
+        r, x1, x2 = r[:end], x1[:end], x2[:end]
         weights = [x1, x2] + [(x1 == p1) & (x2 == p2) for p1, p2 in tracked_parts]
         for col, w in enumerate(weights):
-            # per-replica sums as differences of running sums, exact in int64
-            np.multiply(r, w, out=running)
-            np.cumsum(running, out=running)
-            columns[base : base + rows, col] = (sums[bounds[1:]] - sums[bounds[:-1]])[:rows]
+            np.multiply(r, w, out=products[:end])
+            sums = np.add.reduceat(products, starts)  # exact in int64
+            sums[empty] = 0  # reduceat gives an empty segment its start's value
+            columns[base : base + rows, col] = sums
     return BatchResult(columns[:, :2], columns[:, 2:])
 
 

@@ -183,7 +183,9 @@ def _dirichlet_series(alpha, s: float, order: int):
     """The kernel's (value, terms, tail_bound) for value[k] = D^(k)(alpha)
     = (-1)^k sum_r r^{k-s} G_k(alpha r), k = 0..order, in one pass.
 
-    alpha is a float or a 1-D array (value[k] then lists one sum per alpha).
+    alpha is a float, a list or a 1-D array (value[k] then holds one sum per
+    alpha); value is an ndarray for an ndarray alpha, else nested lists of
+    floats.
     Each alpha's rows are summed in units of u = min(1, G0(alpha)) > 0, in
     which tail_bound is stated: error < DEFAULT_TOL * u.  An alpha whose
     closed-form bound is at most DEFAULT_TOL * u (u = 1 there) takes the
@@ -223,7 +225,8 @@ def _dirichlet_series(alpha, s: float, order: int):
         sums, direct_terms, direct_tail = _series(block, a_col.min(), max(0.0, order - s))
         value[:, direct] = np.reshape(sums, (order + 1, -1)) * unit[direct]
         terms, tail = max(terms, direct_terms), max(tail, direct_tail)
-    return value.reshape((order + 1,) + a.shape).tolist(), terms, tail
+    value = value.reshape((order + 1,) + a.shape)
+    return (value if isinstance(alpha, np.ndarray) else value.tolist()), terms, tail
 
 
 def _phi_and_derivatives(alpha):

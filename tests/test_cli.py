@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -519,3 +522,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["count", "--n1", "1", "--n2", "1", "--parts", "all"])
         capsys.readouterr()
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy.random takes ~11 ms to import, and only the sampler's draws need it
+        src = Path(cli.__file__).resolve().parents[1]
+        code = "import sys, bipartitions.cli; print('numpy.random' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == "False\n"

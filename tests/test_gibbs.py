@@ -7,6 +7,7 @@ import json
 import math
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -104,6 +105,32 @@ FROZEN_DIGESTS = {
 }
 
 
+def reference_replica(spec: SamplerSpec, replica: int) -> gibbs.SampledPartition:
+    """Replica i drawn with its chunk k alone from np.random.default_rng((seed, k)):
+    the chunk's Poisson counts, then the uniforms that pick its pairs, then the
+    exponentials of their x1 and those of their x2."""
+    rates, _ = pair_rates(spec)
+    cut = rates.shape[1]
+    cdf = np.cumsum(rates)
+    chunk, j = divmod(replica, CHUNK_REPLICAS)
+    rng = np.random.default_rng((spec.seed, chunk))
+    counts = rng.poisson(cdf[-1], CHUNK_REPLICAS)
+    pairs = int(counts.sum())
+    family, r = np.divmod(np.searchsorted(cdf[:-1], rng.random(pairs) * cdf[-1], "right"), cut)
+    r += 1
+    e1, e2 = rng.standard_exponential(pairs), rng.standard_exponential(pairs)
+    # geometric x >= 1, and x2 = 0 on axis family 1, x1 = 0 on axis family 2
+    x1 = np.where(family == 2, 0, (e1 / (spec.params.alpha * r)).astype(np.int64) + 1)
+    x2 = np.where(family == 1, 0, (e2 / (spec.params.beta * r)).astype(np.int64) + 1)
+    lo = int(counts[:j].sum())
+    own = list(zip(r[lo : lo + counts[j]].tolist(), x1[lo:].tolist(), x2[lo:].tolist()))
+    multiplicities: Counter = Counter()
+    for k, p1, p2 in own:
+        multiplicities[p1, p2] += k
+    n = (sum(k * p1 for k, p1, _ in own), sum(k * p2 for k, _, p2 in own))
+    return gibbs.SampledPartition(dict(multiplicities), n)
+
+
 class TestSampler:
     def test_deterministic(self):
         spec = SamplerSpec(params=PARAMS, part_set=PartSet.STRICT_POSITIVE, seed=3)
@@ -158,6 +185,100 @@ class TestSampler:
         assert main(argv) == 0
         printed = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert (drawn, printed) == FROZEN_DIGESTS[key]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64, 2**96 + 1, 10**40])
+    def test_seed_words_equal_seed_sequence(self, seed):
+        # every entropy layout: a seed of one to five words (past SeedSequence's
+        # 4-word pool) and a chunk index of one to three words
+        for chunks in (range(0, 70), range(2**32 - 3, 2**32 + 3), range(2**64 - 2, 2**64 + 2)):
+            words = gibbs._block_words(seed, chunks)
+            assert words.shape == (len(chunks), 4) and words.dtype == np.uint64
+            for row, k in zip(words, chunks):
+                expected = np.random.SeedSequence((seed, k)).generate_state(4, np.uint64)
+                assert np.array_equal(row, expected), k
+
+    @pytest.mark.parametrize("part_set", list(PartSet))
+    def test_replicas_beside_chunk_2_to_32(self, part_set):
+        # replica 2^38 opens chunk 2^32, the first whose index takes two words
+        params = calibrate(Target(10, 400), part_set).params
+        for seed in (0, 2**40):
+            spec = SamplerSpec(params, part_set, seed=seed)
+            first = 2**38 - 3
+            for i, drawn in enumerate(samples(spec, first, first + 6), first):
+                assert drawn == reference_replica(spec, i)
+
+    @pytest.mark.parametrize("case", ["strict log Z < 1", "nonzero log Z < 1", "log Z = 0"])
+    def test_segment_sums_at_empty_replicas(self, case):
+        # empty replicas, also the last of a group, and a log Z of 0 (no pair)
+        part_set = NONZERO if case.startswith("nonzero") else STRICT
+        if case == "log Z = 0":
+            params = calibrate(Target(10**12, 1), STRICT).params
+            assert pair_rates(SamplerSpec(params, STRICT))[0].sum() == 0.0
+        else:
+            params = ShapeParams(2.0, 3.0)  # log Z = 0.0082 strict, 0.23 nonzero
+        spec = SamplerSpec(params, part_set, seed=5)
+        group = next(gibbs._chunks(spec, 0, 1))[1].size - 1  # replicas in a group
+        reps = group + 70
+        tracked = ((1, 1), (2, 1)) + (((0, 1), (1, 0)) if part_set is NONZERO else ())
+        batch = sample_batch(spec, reps, tracked_parts=tracked)
+        listed = list(samples(spec, 0, reps))
+        assert np.array_equal(batch.Ns, [p.N for p in listed])
+        counts = [[p.multiplicities.get(part, 0) for part in tracked] for p in listed]
+        assert np.array_equal(batch.tracked_draws, counts)
+        for i in (0, group - 1, group, reps - 1):
+            assert listed[i] == sample(spec, i)
+        empty = ~batch.Ns.any(axis=1)
+        assert empty[group - 1] and empty[-1]  # the last replica of each group
+        assert empty.all() if case == "log Z = 0" else not empty.all()
+
+    def test_one_seed_sequence_per_call(self, monkeypatch):
+        # a call hashes its chunks' seeds as arrays; numpy builds one SeedSequence,
+        # to check the first chunk's words, where a default_rng per chunk built 313
+        spec = SamplerSpec(calibrate(Target(10, 400), STRICT).params, STRICT)
+        built, calls = [], []
+        seed_sequence, default_rng, pcg64, chunks = (
+            np.random.SeedSequence, np.random.default_rng, np.random.PCG64, gibbs._chunks)
+
+        def counted(make):
+            def build(*args, **kwargs):
+                built.append(args)
+                return make(*args, **kwargs)
+            return build
+
+        def seeded(seed):
+            if not isinstance(seed, np.random.bit_generator.ISeedSequence):
+                built.append(seed)  # PCG64 hashes any other seed with a SeedSequence
+            return pcg64(seed)
+
+        def called(*args):
+            calls.append(args)
+            return chunks(*args)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counted(seed_sequence))
+        monkeypatch.setattr(np.random, "default_rng", counted(default_rng))
+        monkeypatch.setattr(np.random, "PCG64", seeded)
+        monkeypatch.setattr(gibbs, "_chunks", called)
+        sample_batch(spec, 20_000)
+        assert len(calls) == 1 and len(built) == 1
+
+    def test_first_replica_of_a_huge_range(self):
+        # the first replica of 10^15 draws one group and hashes one block of
+        # seeds, as a range of a few blocks does: nothing grows with the range
+        spec = SamplerSpec(calibrate(Target(10, 400), STRICT).params, STRICT)
+
+        def first_of(stop):
+            tracemalloc.start()
+            try:
+                start = time.perf_counter()
+                next(samples(spec, 0, stop))
+                return time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        first_of(CHUNK_REPLICAS)  # caches filled outside the trace
+        _, few_blocks = first_of(4 * gibbs._SEED_BLOCK * CHUNK_REPLICAS)
+        elapsed, huge = first_of(10**15)
+        assert huge <= few_blocks + 4096 and elapsed < 0.5
 
     @pytest.mark.parametrize(
         "table",
