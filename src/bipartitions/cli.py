@@ -4,7 +4,7 @@ Subcommands: count, coeffs, compare, rates, sample, llt.  Numeric output is CSV
 (12 significant digits; compare's log_ratio to 10 decimal places, the accuracy
 the calibration supports) or JSON with stable key order; exact counts are
 always printed as decimal strings.  Fixed budgets refuse a count table past
-exact_count.CELL_BUDGET cells, WORK_BUDGET (~25 s of recurrence) or
+exact_count.CELL_BUDGET cells, WORK_BUDGET (up to ~26 s of counting) or
 MEMORY_BUDGET (bytes of rows held at once); `sample` refuses more than
 MAX_SAMPLE_PAIRS expected pairs (reps x log Z) and `rates` more than
 MAX_RATE_STEPS steps.  A refused input, an exceeded budget, a number too large

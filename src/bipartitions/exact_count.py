@@ -4,7 +4,10 @@ The main routine builds a dense table of counts p_X(a, b) for a <= n1,
 b <= n2, one q2-row P_a per a, by the Euler-transform recurrence
 a P_a = sum_{i=1..a} M_i P_{a-i}, in row additions only: the weighted sums
 it needs are carried from row to row instead of being formed afresh, and the
-1-D partition row comes from Euler's pentagonal recurrence.  A recursive
+1-D partition row comes from Euler's pentagonal recurrence.  The rows are
+int64 arrays of 32-bit limbs: every sum of the recurrence has non-negative
+terms, so it adds limbs without carries, and each row is carried and divided
+exactly once; Python ints are formed once, at the end.  A recursive
 enumeration oracle is independent ground truth; `count_1d` reads the same
 pentagonal row as the nonzero P_0, which the tests' Euler product checks.
 """
@@ -49,12 +52,13 @@ class Target:
 CELL_BUDGET = 1 << 26
 # The recurrence makes about m^2 M row-cell additions (m = min(n1, n2),
 # M = max(n1, n2)), and the nonzero set's pentagonal P_0 about M^(3/2) more;
-# the largest tables this admits, such as nonzero (0, 215443) or (464, 464),
-# take ~25 s on a 2-core VM.
+# the largest tables it admits take, on a 2-core VM, ~8 s at (464, 464) and
+# ~26 s at nonzero (0, 215443), all of it the pentagonal P_0.
 WORK_BUDGET = 10**8
-# Bytes the rows of a table may hold at once, by `_table_bytes`.  The estimate
-# read 1.4x (nonzero (0, 100000)) to 3.0x (strict (8, 120000)) the growth of
-# peak RSS measured on a 2-core VM, so a table it admits stays below ~0.8 GB.
+# Bytes a table may hold at once, by `_table_bytes`.  On thin tables the
+# estimate read 1.8x (nonzero (1, 100000)) to 7.0x (strict (1, 1000000)) the
+# growth of peak RSS measured on a 2-core VM, so a table it admits stays below
+# ~0.6 GB; it reads 14x at (464, 464), whose counts it overstates.
 MEMORY_BUDGET = 1 << 30
 
 
@@ -81,10 +85,13 @@ class CountTable:
     def to_csv(self, stream: IO[str]) -> None:
         """Dump the table as `a,b,count` lines after a header line, each ended
         by CRLF as the csv module's default dialect writes them."""
-        lines = (
-            f"{a},{b},{c}\r\n" for a, row in enumerate(self.counts) for b, c in enumerate(row)
-        )
-        stream.write("a,b,count\r\n" + "".join(lines))
+        columns = [f",{b}," for b in range(self.max2 + 1)]
+        lines = ["a,b,count"]
+        for a, row in enumerate(self.counts):
+            head = str(a)
+            lines += [head + column + c for column, c in zip(columns, map(str, row))]
+        lines.append("")
+        stream.write("\r\n".join(lines))
 
 
 def count_table(part_set: PartSet, n1: int, n2: int) -> CountTable:
@@ -94,18 +101,24 @@ def count_table(part_set: PartSet, n1: int, n2: int) -> CountTable:
     gives a P_a = sum_{i=1..a} M_i P_{a-i} with M_i[j] = sum_{d | gcd(i, j)} i/d
     (part (i/d, j/d) taken d times).  The part set decides only P_0 (1, or the
     1-D partition row for parts (0, x2)) and column 0 of M_i (parts (i/d, 0)).
-    Grouping i = d e turns the products into comb sums S_d (`_comb_sum`):
-    a P_a = sum_{d<=a} S_d u_d(a) with u_d(a) = sum_{e<=a/d} e P_{a-de}, and the
-    sum divides exactly by a.  For strict parts the combs start at m = 1, and
-    S_d u - u is S_d u shifted by d columns.
+    Grouping i = d e turns the products into comb sums S_d, prefix sums down
+    each residue class mod d: a P_a = sum_{d<=a} S_d u_d(a) with
+    u_d(a) = sum_{e<=a/d} e P_{a-de}, and the sum divides exactly by a.  For
+    strict parts the combs start at m = 1, and S_d u - u is S_d u shifted by
+    d columns.
 
     u_d telescopes down each residue class mod d: with V_d(a) = V_d(a-d) +
     P_{a-d}, u_d(a) = u_d(a-d) + V_d(a), two row additions per (a, d).  Every
     d carried would hold ~n1^2/2 rows, so only d <= TELESCOPE_MAX_D is (at
-    most 72 rows); larger d, where a/d is small, sum u_d afresh.  The cost
-    grows like n1^2 n2 additions, so a thin table with n1 > n2 is built as the
-    (n2, n1) table and transposed: both part sets are symmetric under
-    (x1, x2) -> (x2, x1).  A table past CELL_BUDGET, WORK_BUDGET or
+    most 72 rows); larger d, where a/d is small, sum u_d afresh.
+
+    Each row is L 32-bit limbs in an int64 array, one L for every held row;
+    a sum of rows adds limbs with no carry, one numpy operation over all
+    limbs, a comb sum is one in-place int64 `cumsum`, and the carries wait
+    until the row's sum is divided exactly by a (`_count_rows` bounds the
+    headroom this needs).  The cost grows like n1^2 n2 additions, so a thin
+    table with n1 > n2 is built as the (n2, n1) table and transposed: both
+    part sets are symmetric under (x1, x2) -> (x2, x1).  A table past CELL_BUDGET, WORK_BUDGET or
     MEMORY_BUDGET raises CellBudgetError before its first row.
     """
     if n1 < 0 or n2 < 0:
@@ -134,13 +147,19 @@ def count_table(part_set: PartSet, n1: int, n2: int) -> CountTable:
 # Largest d whose u_d is carried across rows; the carried state is at most
 # 2 * (1 + 2 + ... + 8) = 72 rows.
 TELESCOPE_MAX_D = 8
+# Counts are held as 32-bit limbs, least significant first, in int64 cells.
+_LIMB_BITS = 32
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
 
 
 def _table_bytes(part_set: PartSet, m: int, big: int) -> float:
-    """Estimated bytes held at once by `_count_rows(part_set, m, big)`: its
-    m + 1 rows and at most 2 sum_{d <= 8} min(d, m - d) carried u_d and V_d
-    rows, each of big + 1 cells of two 8-byte pointers (the row's, and the
-    finished table's or the 1-D partition list's) and an int of 24 bytes plus
+    """Estimated bytes held at once by `_count_rows(part_set, m, big)` and
+    the table made from its rows, all big + 1 cells wide.  Arrays of int64
+    limbs: its m + 1 rows, at most 2 sum_{d <= 8} min(d, m - d) carried u_d
+    and V_d, and 6 of scratch (the row's total, its comb sums, a product
+    e P, the quotient and its widened and padded copies).  Rows of ints: the
+    finished table, the 1-D partition row and the limb conversion's three
+    object arrays, each cell two 8-byte pointers and an int of 24 bytes plus
     4 per 30 bits.  The bits are those of p(m) (big + 1)^m, times p(big)
     for the nonzero set, with p(n) < e^{pi sqrt(2n/3)}: the first coordinates
     of the parts partition m, each part's second one is at most big, and the
@@ -150,42 +169,122 @@ def _table_bytes(part_set: PartSet, m: int, big: int) -> float:
     log_count = math.pi * math.sqrt(2 * m / 3) + m * math.log(big + 1)
     if part_set is PartSet.NONZERO_VECTORS:
         log_count += math.pi * math.sqrt(2 * big / 3)
-    digits = math.ceil(log_count / math.log(2) / 30) or 1
-    return (m + 1 + carried) * (big + 1) * (16 + 24 + 4 * digits)
+    bits = log_count / math.log(2)
+    limbs = math.ceil(bits / _LIMB_BITS) or 1
+    digits = math.ceil(bits / 30) or 1
+    limb_rows = m + 7 + carried if m else 0  # no limbs when P_0 is the table
+    return (big + 1) * (limb_rows * 8 * limbs + (m + 5) * (16 + 24 + 4 * digits))
 
 
-def _count_rows(part_set: PartSet, n1: int, n2: int) -> list[np.ndarray]:
-    """Rows P_0 .. P_n1 of the table (n1 <= n2), by the recurrence of `count_table`."""
+def _count_rows(part_set: PartSet, n1: int, n2: int) -> list[list[int]]:
+    """Rows P_0 .. P_n1 of the table (n1 <= n2), by the recurrence of
+    `count_table`, held until the end as int64 limb arrays of shape (L, n2 + 1).
+
+    Headroom for the carries that wait until `_divide_exact`: a limb of a
+    row is below 2^32, so one of u_d(a) is below 2^32 k(k + 1)/2 with
+    k = floor(a/d), and S_d adds at most floor(n2/d) + 1 of those.  Summed
+    over d <= a, with a <= n1, a limb of `total` is below
+    2^31 (zeta(3) n2 a^2 + zeta(2) (n2 a + a^2) + a (1 + log a)).  Over
+    every shape that CELL_BUDGET and WORK_BUDGET admit, the tests find the
+    exact sum below 2^58.3 (at n1 = 2), so int64 keeps 4 bits spare.
+    """
+    width = n2 + 1
     axis = part_set is PartSet.NONZERO_VECTORS
-    rows = [_partition_row(n2) if axis else np.array([1] + [0] * n2, dtype=object)]
-    zero = np.zeros(n2 + 1, dtype=object)
+    first = _partition_row(n2) if axis else [1] + [0] * n2
+    if n1 == 0:
+        return [first]
+    rows = [_to_limbs(first)]
     carried: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}  # (d, a % d) -> V, u
     for a in range(1, n1 + 1):
-        total = np.zeros(n2 + 1, dtype=object)
+        limbs = len(rows[0])
+        total = np.zeros((limbs, width), np.int64)
+        scratch = np.empty((limbs, width + a), np.int64)
         for d in range(1, a + 1):
+            # S_d u, a prefix sum down each residue mod d: u is laid out in
+            # `scratch` as teeth rows of d columns, padded with zeros
+            teeth = -(-width // d)
+            comb = scratch[:, : teeth * d]
+            u = comb[:, :width]
             if d <= TELESCOPE_MAX_D:
-                v, u = carried.pop((d, a % d), (zero, zero))
+                v, u_d = carried.pop((d, a % d), (0, 0))
                 v = v + rows[a - d]
-                u = u + v
+                np.add(u_d, v, out=u)
                 if a + d <= n1:
-                    carried[d, a % d] = v, u
+                    carried[d, a % d] = v, u.copy()
             else:
-                u = rows[a - d]
+                np.copyto(u, rows[a - d])
                 for e in range(2, a // d + 1):
-                    u = u + e * rows[a - d * e]
-            c = _comb_sum(u, d)
+                    u += e * rows[a - d * e]
+            comb[:, width:] = 0
+            teeth_rows = comb.reshape(limbs, teeth, d)
+            teeth_rows.cumsum(axis=1, out=teeth_rows)
             if axis:
-                total += c
+                total += u
             else:  # strict combs start at m = 1: S_d u - u is S_d u shifted by d
-                total[d:] += c[:-d]
-        rows.append(total // a)
-    return rows
+                total[:, d:] += u[:, :-d]
+        del v, scratch  # not held while the quotient may be widened and padded
+        row = _divide_exact(total, a)
+        if len(row) > limbs:  # the quotient needs a new limb: pad every held array
+            for i, held in enumerate(rows):
+                rows[i] = _pad(held, len(row))
+            for key, (v, u_d) in carried.items():
+                carried[key] = _pad(v, len(row)), _pad(u_d, len(row))
+        rows.append(row)
+    # one row's limbs at a time are freed as its ints are made
+    del rows[0]
+    return [first] + [_from_limbs(rows.pop(0)) for _ in range(n1)]
 
 
-def _comb_sum(u: np.ndarray, d: int) -> np.ndarray:
-    """S_d u[k] = sum_{m >= 0} u[k - m d]: a prefix sum down each residue mod d."""
-    padded = np.concatenate([u, np.zeros(-len(u) % d, dtype=object)])
-    return padded.reshape(-1, d).cumsum(axis=0).ravel()[: len(u)]
+def _divide_exact(total: np.ndarray, a: int) -> np.ndarray:
+    """total / a as normalised limbs, in place of total's unnormalised ones;
+    the quotient gains a top limb where it needs one.  Raises ArithmeticError
+    if a does not divide every cell.
+
+    Carries go up into the top limb, then long division runs down from it:
+    a remainder below a stays below a * 2^32 once shifted.
+    """
+    for low, high in zip(total, total[1:]):
+        high += low >> _LIMB_BITS
+        low &= _LIMB_MASK
+    rest = np.zeros(total.shape[1], np.int64)
+    for limb in total[::-1]:
+        np.divmod((rest << _LIMB_BITS) + limb, a, out=(limb, rest))
+    if rest.any():
+        raise ArithmeticError(f"a row of the recurrence is not divisible by {a}")
+    top = total[-1] >> _LIMB_BITS
+    if top.any():
+        total[-1] &= _LIMB_MASK
+        total = np.vstack([total, top])
+    return total
+
+
+def _pad(limbs: np.ndarray, count: int) -> np.ndarray:
+    """The limbs with zero limbs on top, `count` in all."""
+    padded = np.zeros((count, limbs.shape[1]), np.int64)
+    padded[: len(limbs)] = limbs
+    return padded
+
+
+def _to_limbs(values: list[int]) -> np.ndarray:
+    """Non-negative ints as normalised limbs, shape (L, len(values))."""
+    ints = np.array(values, dtype=object)
+    count = -(-max(values).bit_length() // _LIMB_BITS) or 1
+    limbs = np.empty((count, len(values)), np.int64)
+    for i, limb in enumerate(limbs):
+        limb[:] = ints >> (_LIMB_BITS * i) & _LIMB_MASK
+    return limbs
+
+
+def _from_limbs(limbs: np.ndarray) -> list[int]:
+    """The ints of normalised limbs: pairs of limbs form uint64 words, which
+    are shifted together as Python ints from the top."""
+    bits = limbs.view(np.uint64)
+    words = bits[0::2].copy()
+    words[: len(bits) // 2] |= bits[1::2] << np.uint64(_LIMB_BITS)
+    ints = words[-1].astype(object)
+    for word in words[-2::-1]:
+        ints = ints << 64 | word.astype(object)
+    return ints.tolist()
 
 
 NAIVE_LIMIT = 8
@@ -221,7 +320,7 @@ def count_naive(part_set: PartSet, target: Target) -> int:
     return result
 
 
-def _partition_row(n: int) -> np.ndarray:
+def _partition_row(n: int) -> list[int]:
     """1-D partition numbers p(0), ..., p(n) by Euler's pentagonal recurrence
     p(m) = sum_{k>=1} (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2))."""
     p = [1] + [0] * n
@@ -232,7 +331,7 @@ def _partition_row(n: int) -> np.ndarray:
             total += term if k % 2 else -term
             k += 1
         p[m] = total
-    return np.array(p, dtype=object)
+    return p
 
 
 def count_1d(n: int) -> int:

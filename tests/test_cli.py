@@ -76,7 +76,7 @@ class TestCount:
         assert err.startswith("error: ") and "work budget" in err and err.count("\n") == 1
 
     def test_memory_budget_error(self, capsys):
-        # fits the cell and work budgets, but its rows would hold ~1.3 GB
+        # fits the cell and work budgets, but would hold ~1.1 GB
         n1, n2 = 8, 1_560_000
         assert (n1 + 1) * (n2 + 1) <= exact_count.CELL_BUDGET
         assert n1 * n1 * n2 <= exact_count.WORK_BUDGET

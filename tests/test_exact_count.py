@@ -2,17 +2,24 @@
 
 import hashlib
 import io
+import math
 import tracemalloc
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from bipartitions.exact_count import (
     CELL_BUDGET,
     NAIVE_LIMIT,
+    WORK_BUDGET,
     CellBudgetError,
     PartSet,
     Target,
+    _LIMB_BITS,
+    _LIMB_MASK,
+    _divide_exact,
+    _from_limbs,
     _table_bytes,
     count_1d,
     count_naive,
@@ -161,6 +168,133 @@ class TestGoldenTables:
     def test_heavy_table_digest(self, part_set, digest):
         assert csv_digest(count_table(part_set, 30, 900)) == digest
 
+    # frozen from the object-array recurrence that the int64 limbs replaced:
+    # thin and transposed shapes, and (40, 1600), where the shared limb
+    # count grows several times mid-table
+    @pytest.mark.parametrize(
+        "part_set, n1, n2, digest",
+        [
+            (PartSet.NONZERO_VECTORS, 0, 2000,
+             "84ab1417c38b0acde4fedf84a034201d736af4ea287ed786621a6f801d603c69"),
+            (PartSet.NONZERO_VECTORS, 1000, 3,
+             "bfb3ec0120f30cb27f2f48a85028756f1a495a533fc26a13890f1757cd2b23d3"),
+            (PartSet.NONZERO_VECTORS, 3000, 2,
+             "f8d39125c62d9b1b4b50b695594d7f3c527649f745ff462ed7b4ef1d6c40cc6c"),
+            (PartSet.STRICT_POSITIVE, 40, 1600,
+             "70323a199f49d09931600fb32ba5b65178ebc0b2f4b7f2c77c784cb5b0d5f762"),
+            (PartSet.NONZERO_VECTORS, 40, 1600,
+             "b67e53c2b30dece02fb2f7a1bad4594716edf5f2e6e6d7a05a50c7049131785b"),
+        ],
+    )
+    def test_limb_table_digest(self, part_set, n1, n2, digest):
+        assert csv_digest(count_table(part_set, n1, n2)) == digest
+
+
+def comb_sum(row: np.ndarray, k: int) -> np.ndarray:
+    """The prefix sum of an object row down each residue class mod k, i.e.
+    the row times 1/(1 - y^k)."""
+    n = len(row)
+    padded = np.concatenate([row, np.zeros(-n % k, dtype=object)])
+    return padded.reshape(-1, k).cumsum(axis=0).ravel()[:n]
+
+
+def family_product(part_set: PartSet, n1: int, n2: int) -> list[np.ndarray]:
+    """Rows of the table as the product over a >= 1 of the families
+    F_a = prod_j 1/(1 - x^a y^j) = sum_k x^{ak} y^{ks} / (y; y)_k, with j and
+    s starting at 1 for strict parts and at 0 for nonzero ones, times the
+    a = 0 family: the 1-D partition row (nonzero) or 1 (strict).  Row R of
+    the product with F_a is the Horner form T_R + c_1 (T_{R-a} + c_2 (...)),
+    c_k = y^s / (1 - y^k) being a comb sum S_k and a shift by s; rows are
+    updated from the top, so each reads only rows not yet updated.  Exact and
+    division-free, and shares nothing with the Euler-transform recurrence."""
+    s = 1 if part_set is PartSet.STRICT_POSITIVE else 0
+    first = [1] + [0] * n2 if s else list(euler_product_partitions(n2))
+    rows = [np.array(first, dtype=object)] + [np.zeros(n2 + 1, dtype=object)] * n1
+    for a in range(1, n1 + 1):
+        for r in range(n1, a - 1, -1):
+            acc = rows[r % a]
+            for k in range(r // a, 0, -1):
+                shifted = np.zeros(n2 + 1, dtype=object)
+                shifted[s:] = comb_sum(acc, k)[: n2 + 1 - s]
+                acc = rows[r - a * k + a] + shifted
+            rows[r] = acc
+    return rows
+
+
+class TestSecondAlgorithm:
+    def test_family_product_frozen_grid(self):
+        rows = family_product(PartSet.NONZERO_VECTORS, 4, 4)
+        assert [list(row) for row in rows][4] == [5, 12, 29, 57, 109]
+        for ps in PartSet:
+            rows = family_product(ps, NAIVE_LIMIT, NAIVE_LIMIT)
+            for a in range(NAIVE_LIMIT + 1):
+                for b in range(NAIVE_LIMIT + 1):
+                    assert rows[a][b] == count_naive(ps, Target(a, b))
+
+    @pytest.mark.parametrize("part_set", list(PartSet))
+    def test_family_product_matches_heavy_table(self, part_set):
+        table = count_table(part_set, 30, 900)
+        assert [tuple(row) for row in family_product(part_set, 30, 900)] == list(table.counts)
+
+
+class TestLimbArithmetic:
+    @staticmethod
+    def limb_bound(a: int, big: int) -> int:
+        """Exact bound on a limb of row a's unnormalised total, before the
+        carries: a limb of a row is below 2^32, u_d(a) sums k(k + 1)/2 of
+        them (k = a // d) and S_d adds at most big // d + 1 of those."""
+        return ((1 << _LIMB_BITS) - 1) * sum(
+            (big // d + 1) * (a // d) * (a // d + 1) // 2 for d in range(1, a + 1)
+        )
+
+    def test_headroom_over_every_admitted_shape(self):
+        # for each smaller bound m, the widest table that the cell and work
+        # budgets admit; m = 0 (the nonzero axis row) has no recurrence and
+        # m = 1 is thin at the cell budget.  The bound grows with a and big.
+        zeta2, zeta3 = math.pi**2 / 6, 1.2020569031595942
+        worst = 0
+        for m in range(0, 465):
+            big = CELL_BUDGET // (m + 1) - 1
+            if m:
+                big = min(big, WORK_BUDGET // (m * m))
+            assert big >= m
+            bound = self.limb_bound(m, big)
+            closed = 2**31 * (
+                zeta3 * big * m * m + zeta2 * (big * m + m * m) + m * (1 + math.log(max(m, 1)))
+            )
+            assert bound <= closed
+            worst = max(worst, bound)
+        assert 464**3 <= WORK_BUDGET < 465**3
+        assert self.limb_bound(1, CELL_BUDGET // 2 - 1) < 2**57
+        assert self.limb_bound(464, 464) < 2**58
+        # the worst is m = 2 at the cell budget, 2^58.2: 4 bits spare below 2^63
+        assert worst < 2**59
+        # long division's remainder, below a <= 464, shifted onto the next limb
+        assert 464 * 2**_LIMB_BITS < 2**41
+
+    def test_divide_exact(self):
+        # three limbs with carries pending: limb 0 holds 2^32 too many and
+        # limb 1 one too few, and the top one is wide; the quotient of the
+        # first cell needs a fourth limb
+        values = [3 * (2**100 + 12345), 3 * 7, 0, 3 * (2**64 - 1)]
+        total = np.array(
+            [[v & _LIMB_MASK for v in values],
+             [v >> 32 & _LIMB_MASK for v in values],
+             [v >> 64 for v in values]],
+            np.int64,
+        )
+        total[0, total[1] > 0] += 2**32
+        total[1, total[1] > 0] -= 1
+        quotient = _divide_exact(total, 3)
+        assert quotient.shape == (4, 4)
+        assert quotient.min() >= 0 and quotient.max() <= _LIMB_MASK
+        assert _from_limbs(quotient) == [v // 3 for v in values]
+
+    def test_divide_exact_raises_on_a_remainder(self):
+        total = np.array([[6, 7, 9], [0, 0, 0]], np.int64)
+        with pytest.raises(ArithmeticError, match="not divisible by 3"):
+            _divide_exact(total, 3)
+
 
 class TestThinTables:
     # n1 >> n2: closed forms that do not depend on how the table is built
@@ -241,8 +375,8 @@ class TestBudgetAndValidation:
 class TestMemory:
     def test_carried_rows_are_capped(self):
         # the carried u_d and V_d rows (d <= 8) stay below 4x what the finished
-        # table holds: 2.3x here, 8x if every d were carried.  n2 = 60 keeps
-        # the traced run near a second; the ratio barely moves with n2.
+        # table holds: 1.2x here.  n2 = 60 keeps the traced run near a second;
+        # the ratio barely moves with n2.
         tracemalloc.start()
         try:
             table = count_table(PartSet.STRICT_POSITIVE, 60, 60)
