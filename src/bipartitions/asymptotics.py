@@ -22,22 +22,29 @@ from .special_functions import (
 MAX_EXPANSION_ORDER = 8
 
 
-def _log_z_terms(a, b, nonzero: bool, r, order: int) -> np.ndarray:
-    """Rows of the r-th terms of log Z = sum_r sum_{x in X} e^{-r(a x1 + b x2)}/r: first
-    r^{i+j-1} G_i(a r) G_j(b r), the derivative (-d/da)^i (-d/db)^j over x1, x2 >= 1, for
-    i + j = 0, 1, .., order <= 2 with i falling; then, for the nonzero set, the axes x2 = 0
-    and x1 = 0 at order 0 (`gibbs._chunks` relies on this order).  a, b may be complex."""
-    g = _geometric(np.multiply.outer([a, b], r), order)
-    h = [gk * r**k if k else gk for k, gk in enumerate(g)]  # r^k G_k
-    rows = [h[i][0] * h[n - i][1] for n in range(order + 1) for i in range(n, -1, -1)]
-    return np.stack(rows + [h[0][0], h[0][1]] if nonzero else rows) / r
+def _log_z_terms(a, b, nonzero: bool, r, orders: range) -> np.ndarray:
+    """Rows of the r-th terms of log Z = sum_r sum_{x in X} e^{-r(a x1 + b x2)}/r and of its
+    derivatives (-d/da)^i (-d/db)^j, order by order for each n = i + j in orders: first
+    r^{n-1} G_i(a r) G_j(b r) over x1, x2 >= 1 with i falling; then, for the nonzero set,
+    the axes x2 = 0 and x1 = 0, r^{n-1} G_n(a r) and r^{n-1} G_n(b r).  Order 0 is thus
+    [interior, axis x2 = 0, axis x1 = 0] (`gibbs._chunks` relies on this).  a, b may be
+    complex."""
+    g = _geometric(np.multiply.outer([a, b], r), orders[-1])
+    for k in range(1, len(g)):
+        g[k] *= r**k  # r^k G_k
+    rows = []
+    for n in orders:
+        rows += [g[i][0] * g[n - i][1] for i in range(n, -1, -1)] + (list(g[n]) if nonzero else [])
+    terms = np.array(rows)
+    terms /= r
+    return terms
 
 
 def _log_z_sums(params: ShapeParams, part_set: PartSet) -> tuple:
-    """(log Z, E N1, E N2, Var N1, Cov, Var N2): one r-pass over the order-2 rows of
+    """(log Z, E N1, E N2, Var N1, Cov, Var N2): one r-pass over the order 0-2 rows of
     `_log_z_terms`, plus Psi(a) + Psi(b) and its derivatives for the nonzero set's axes."""
     a, b = params.alpha, params.beta
-    sums = _series(lambda r: _log_z_terms(a, b, False, r, 2), a + b, 1.0)[0]
+    sums = _series(lambda r: _log_z_terms(a, b, False, r, range(3)), a + b, 1.0)[0]
     if part_set is PartSet.NONZERO_VECTORS:
         (pa, pb), (dpa, dpb), (ddpa, ddpb) = _dirichlet_series([a, b], 1.0, 2)[0]
         axes = (pa + pb, -dpa, -dpb, ddpa, 0.0, ddpb)

@@ -8,7 +8,9 @@ random stream per chunk, drawn a group of chunks at a time.  The diagnostics
 side evaluates the characteristic function of N, an upper bound on the
 scale-free Lyapunov ratio over a direction grid (by Cauchy-Schwarz, from the
 five quartic moments of the part lattice, summed as one r-series), and the
-normalized local-limit ratio against exact counts.
+normalized local-limit ratio against exact counts.  The rates, the
+characteristic function and the quartic moments all read their G-products
+from `asymptotics._log_z_terms`: its order-0 rows and its order-4 rows.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .asymptotics import _log_z_sums, _log_z_terms, gibbs_covariance
 from .calibration import ShapeParams, calibrate
 from .exact_count import PartSet, Target, count_table
-from .special_functions import DEFAULT_TOL, _geometric, _series
+from .special_functions import DEFAULT_TOL, _series
 
 # replicas per random stream; a chunk holds ~CHUNK_REPLICAS * log Z pairs at
 # once, so a larger chunk saves little time and costs memory
@@ -100,10 +102,10 @@ def _rate_table(params: ShapeParams, part_set: PartSet, tv_budget: float) -> tup
         if r[-1] > MAX_RATE_TERMS:
             msg = f"the cut in r at (alpha, beta) = ({a!r}, {b!r}) would pass"
             raise TruncationError(f"{msg} {MAX_RATE_TERMS} terms of r")
-        return _log_z_terms(a, b, nonzero, r, 0).sum(axis=0)
+        return _log_z_terms(a, b, nonzero, r, range(1)).sum(axis=0)
 
     _, cut, tail = _series(block, min(a, b) if nonzero else a + b, 0.0, tol=tv_budget)
-    rates = _log_z_terms(a, b, nonzero, np.arange(1.0, cut + 1.0), 0)
+    rates = _log_z_terms(a, b, nonzero, np.arange(1.0, cut + 1.0), range(1))
     rates.setflags(write=False)
     return rates, tail
 
@@ -145,55 +147,57 @@ def _uint32_words(n: int) -> list:
     return words
 
 
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """init mult^k mod 2^32, k < n, as a uint32 column: the constants that
+    SeedSequence's hashmix steps in turn take."""
+    return np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(n)], np.uint32)[:, None]
+
+
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 9)  # for the 8 steps that form the output
+
+
+def _hashmix(value: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of row i of value with const[i] and const[i + 1]."""
+    value = value ^ const[:-1]
+    value *= const[1:]
+    value ^= value >> 16
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_L - y * _MIX_R
+    result ^= result >> 16
+    return result
+
+
 def _seed_words(seed: int, first: int, n: int) -> np.ndarray:
     """Row i < n is SeedSequence((seed, first + i)).generate_state(4, np.uint64),
     the words that seed chunk first + i's PCG64, for chunks that share k >> 32.
 
     The entropy of (seed, k) is the words of seed, then those of k: for
     these chunks only k's low word varies, so SeedSequence's hash runs once,
-    step for step, on uint32 arrays over the chunks.  The first row is
-    checked against numpy's own SeedSequence (one chunk takes that row as
-    it is), so a change of numpy's hash stops the sampler rather than its
-    streams."""
+    step for step, on uint32 arrays over the chunks, with the hashmix steps
+    that do not feed each other stacked as rows.  The first row is checked
+    against numpy's own SeedSequence (one chunk takes that row as it is), so
+    a change of numpy's hash stops the sampler rather than its streams."""
     reference = np.random.SeedSequence((seed, first)).generate_state(4, np.uint64)
     if n == 1:
         return reference[None]
     seed_words = _uint32_words(seed)
-    entropy = [np.array([w], np.uint32) for w in seed_words + _uint32_words(first)]
-    entropy[len(seed_words)] = np.arange(first & _MASK32, (first & _MASK32) + n, dtype=np.uint32)
-    const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK32
-        value *= const
-        value ^= value >> 16
-        return value
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = x * _MIX_L - y * _MIX_R
-        result ^= result >> 16
-        return result
-
-    zero = np.zeros(1, np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    words = seed_words + _uint32_words(first)
+    entropy = np.zeros((max(4, len(words)), n), np.uint32)  # zeros fill the pool
+    entropy[: len(words)] = np.array(words, np.uint32)[:, None]
+    entropy[len(seed_words)] += np.arange(n, dtype=np.uint32)
+    # 4 steps fill the pool, 12 mix it, and 4 mix in each further word
+    const = _hash_constants(_INIT_A, _MULT_A, 4 * len(entropy) + 1)
+    pool = _hashmix(entropy[:4], const[:5])
     for src in range(4):
-        for dst in range(4):
-            if dst != src:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    state = np.empty((n, 8), np.uint32)
-    const = _INIT_B
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * _MULT_B & _MASK32
-        value *= const
-        value ^= value >> 16
-        state[:, i] = value
-    words = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], const[4 + 3 * src : 8 + 3 * src]))
+    for i in range(4, len(entropy)):
+        pool = _mix(pool, _hashmix(entropy[i], const[4 * i : 4 * i + 5]))
+    state = _hashmix(np.tile(pool, (2, 1)), _HASH_B)
+    words = np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64, copy=False)
     if not np.array_equal(words[0], reference):
         raise RuntimeError("numpy's SeedSequence no longer hashes as the sampler's seeding does")
     return words
@@ -385,7 +389,7 @@ def char_fn(params: ShapeParams, part_set: PartSet, t: tuple[float, float]) -> c
     a, b = complex(params.alpha, -t[0]), complex(params.beta, -t[1])
     # each shifted term is at most its real one in modulus, so the terms past
     # the cut add at most twice the rates' tail bound, below DEFAULT_TOL
-    shifted = _log_z_terms(a, b, part_set is PartSet.NONZERO_VECTORS, r, 0)
+    shifted = _log_z_terms(a, b, part_set is PartSet.NONZERO_VECTORS, r, range(1))
     return complex(np.exp((shifted - real).sum()))
 
 
@@ -394,8 +398,8 @@ def char_fn_bound(params: ShapeParams, t: tuple[float, float]) -> float:
     exp(|G0(a - i t1) G0(b - i t2)| - G0(a) G0(b)), the interior terms at r = 1."""
     a, b = params.alpha, params.beta
     t1, t2 = t
-    shifted = _log_z_terms(complex(a, -t1), complex(b, -t2), False, 1.0, 0)[0]
-    return math.exp(abs(shifted) - _log_z_terms(a, b, False, 1.0, 0)[0])
+    shifted = _log_z_terms(complex(a, -t1), complex(b, -t2), False, 1.0, range(1))[0]
+    return math.exp(abs(shifted) - _log_z_terms(a, b, False, 1.0, range(1))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -420,17 +424,20 @@ MAX_LYAPUNOV_TERMS = 1 << 20
 
 def _quartic_moments(params: ShapeParams, part_set: PartSet) -> tuple:
     """(M, dropped, terms, tail): M[i] = sum_x x1^i x2^{4-i} q/(1-q)^4 over the
-    part set, q = e^{-(alpha x1 + beta x2)}, i = 0..4, as one `_series` pass.
+    part set, q = e^{-(alpha x1 + beta x2)}, i = 0..4, as one `_series` pass
+    over the order-4 rows of `_log_z_terms`.
 
-    q/(1-q)^4 = sum_k C(k+2, 3) q^k, so M[i] = sum_k C(k+2, 3) G_i(k alpha)
-    G_{4-i}(k beta), and the nonzero set's axes add sum_k C(k+2, 3) G_4(k alpha)
-    to M[4] and sum_k C(k+2, 3) G_4(k beta) to M[0].  As G_i(x + a) <= e^{-a}
-    G_i(x) and C(k+3, 3)/C(k+2, 3) <= ((k+1)/k)^3, the terms obey the kernel's
-    ratio bound with decay alpha + beta (min(alpha, beta) with the axes) and
-    growth 3.  Each M[i] is summed in units of its k = 1 term, in which tail,
-    the kernel's bound, is stated; dropped[i] = tail * unit is at least the
-    terms it left out.  Rates whose series may pass MAX_LYAPUNOV_TERMS raise
-    ValueError before the pass, and a first term that overflows in it."""
+    q/(1-q)^4 = sum_r C(r+2, 3) q^r, so M[i] = sum_r C(r+2, 3) G_i(r alpha)
+    G_{4-i}(r beta): C(r+2, 3)/r^3 times the row (i, 4 - i), r^3 G_i G_{4-i}.
+    The nonzero set's axes add their order-4 rows, r^3 G_4(r alpha) to M[4]
+    and r^3 G_4(r beta) to M[0], under the same weight.  As G_i(x + a) <=
+    e^{-a} G_i(x) and C(r+3, 3)/C(r+2, 3) <= ((r+1)/r)^3, the terms obey the
+    kernel's ratio bound with decay alpha + beta (min(alpha, beta) with the
+    axes) and growth 3.  Each M[i] is summed in units of its r = 1 term, in
+    which tail, the kernel's bound, is stated; dropped[i] = tail * unit is at
+    least the terms it left out.  Rates whose series may pass
+    MAX_LYAPUNOV_TERMS raise ValueError before the pass, and a first term
+    that overflows in it."""
     a, b = params.alpha, params.beta
     nonzero = part_set is PartSet.NONZERO_VECTORS
     decay = min(a, b) if nonzero else a + b
@@ -438,19 +445,19 @@ def _quartic_moments(params: ShapeParams, part_set: PartSet) -> tuple:
     if expected > MAX_LYAPUNOV_TERMS:
         msg = f"the Lyapunov series at (alpha, beta) = ({a!r}, {b!r}) may take"
         raise ValueError(f"{msg} {expected:.3g} terms, above the cap of {MAX_LYAPUNOV_TERMS}")
-    unit = None  # the k = 1 terms, from the first block
+    unit = None  # the r = 1 terms, from the first block
 
     def block(r):
         nonlocal unit
-        g = _geometric(np.multiply.outer([a, b], r), 4)  # g[i] = (G_i(a r), G_i(b r))
-        m = np.stack([g[i][0] * g[4 - i][1] for i in range(5)])
+        rows = _log_z_terms(a, b, nonzero, r, range(4, 5))
+        m = rows[4::-1]  # (i, 4 - i), i rising
         if nonzero:
-            m[[4, 0]] += g[4]  # the axes x2 = 0 and x1 = 0
+            m[[4, 0]] += rows[5:]  # the axes x2 = 0 and x1 = 0
         if unit is None:
             if not np.isfinite(m[:, 0]).all():
                 raise ValueError(f"a quartic moment at (alpha, beta) = ({a!r}, {b!r}) overflows")
             unit = np.maximum(m[:, :1], sys.float_info.min)
-        m *= r * (r + 1.0) * (r + 2.0) / 6.0
+        m *= (r + 1.0) * (r + 2.0) / (6.0 * r * r)  # C(r + 2, 3)/r^3
         m /= unit
         return m
 

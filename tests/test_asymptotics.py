@@ -61,7 +61,7 @@ class TestLogZTerms:
         ga, gb = (1.0 / math.expm1(s.real) for s in (a, b))
         cut = math.exp(-a.real * self.BOX) + math.exp(-b.real * self.BOX)
         tail = cut * (1.0 + ga) * (1.0 + gb)
-        rows = _log_z_terms(a, b, nonzero, 1.0, 0)
+        rows = _log_z_terms(a, b, nonzero, 1.0, range(1))
         assert rows.shape == (len(brute),)
         for row, direct in zip(rows, brute):
             assert abs(row - direct) <= tail + 1e-14 * abs(direct)
@@ -71,31 +71,47 @@ class TestLogZTerms:
         "a, b", [(0.7, 0.4), (2.5, 0.3), (complex(0.7, -1.3), complex(0.4, 2.9))]
     )
     def test_moment_rows_match_brute_force_sums(self, a, b):
-        """At r = 1 and order 2 the row (i, j) is the moment
-        sum_x x1^i x2^j e^{-(alpha x1 + beta x2)} over the interior x1, x2 >= 1,
-        in the order (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)."""
+        """At r = 1 and 2, order by order n = 0..4, the row (i, j), i + j = n, i
+        falling, is r^{n-1} sum_x x1^i x2^j e^{-r(alpha x1 + beta x2)} over the
+        interior x1, x2 >= 1; for the nonzero set the axes x2 = 0 and x1 = 0
+        follow, r^{n-1} sum_x x^n e^{-r alpha x} and r^{n-1} sum_x x^n e^{-r beta x}."""
         x = np.arange(1, self.BOX + 1)
-        ea, eb = np.exp(-a * x), np.exp(-b * x)
-        rows = _log_z_terms(a, b, False, 1.0, 2)
-        moments = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-        assert rows.shape == (len(moments),)
-        # sum_{x > BOX} x^i e^{-s x} <= (BOX + 1)^i e^{-s BOX} G_i(s) for s = Re a,
-        # Re b, and G_i <= m = 2 G0 (1 + G0)^2 for i <= 2
-        m = [2.0 * g * (1.0 + g) ** 2 for g in (1.0 / math.expm1(s.real) for s in (a, b))]
-        cut = math.exp(-a.real * self.BOX) + math.exp(-b.real * self.BOX)
-        tail = (self.BOX + 1) ** 2 * cut * m[0] * m[1]
-        for row, (i, j) in zip(rows, moments):
-            terms = np.outer(x**i * ea, x**j * eb)
-            assert abs(row - terms.sum()) <= tail + 1e-14 * np.abs(terms).sum()
+
+        def bound(i, s):
+            # G_i(s) = sum_x x^i e^{-s x} <= i! g (1 + g)^i with g = G0(s), as
+            # G_i = g (1 + g) R_i(g) and, for i <= 4, R_i <= i! (1 + g)^{i-1} term by
+            # term (R_4 = 1 + 14g + 36g^2 + 24g^3); sum_{x > BOX} x^i e^{-s x} is
+            # at most (BOX + 1)^i e^{-s BOX} G_i(s)
+            g = 1.0 / math.expm1(s)
+            full = math.factorial(i) * g * (1.0 + g) ** i
+            return full, (self.BOX + 1) ** i * math.exp(-s * self.BOX) * full
+
+        for r in (1.0, 2.0):
+            ea, eb = np.exp(-a * r * x), np.exp(-b * r * x)
+            sa, sb = r * a.real, r * b.real
+            for nonzero in (False, True):
+                rows = _log_z_terms(a, b, nonzero, r, range(5))
+                want = []  # (brute-force sum, bound on the parts outside the box)
+                for n in range(5):
+                    for i in range(n, -1, -1):
+                        (fa, ta), (fb, tb) = bound(i, sa), bound(n - i, sb)
+                        terms = np.outer(x**i * ea, x ** (n - i) * eb) * r ** (n - 1)
+                        want.append((terms, (ta * fb + fa * tb) * r ** (n - 1)))
+                    if nonzero:
+                        for e, s in ((ea, sa), (eb, sb)):
+                            want.append((x**n * e * r ** (n - 1), bound(n, s)[1] * r ** (n - 1)))
+                assert rows.shape == (len(want),)
+                for row, (terms, tail) in zip(rows, want):
+                    assert abs(row - terms.sum()) <= tail + 1e-14 * np.abs(terms).sum()
 
     @pytest.mark.parametrize("part_set", list(PartSet))
     def test_far_terms_are_zero_not_nan(self, part_set):
         # Re(alpha r) runs past 709, where 1/expm1 of a complex argument is nan
         nonzero = part_set is PartSet.NONZERO_VECTORS
         r = np.arange(1.0, 2001.0)
-        rows = _log_z_terms(complex(0.5, -2.0), complex(3.0, 1.0), nonzero, r, 0)
+        rows = _log_z_terms(complex(0.5, -2.0), complex(3.0, 1.0), nonzero, r, range(1))
         assert np.isfinite(rows).all() and not rows[:, -1].any()
-        assert np.isfinite(_log_z_terms(720.0, 0.5, nonzero, r, 0)).all()
+        assert np.isfinite(_log_z_terms(720.0, 0.5, nonzero, r, range(1))).all()
 
 
 class TestLogZDirect:

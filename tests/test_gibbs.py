@@ -382,7 +382,7 @@ class TestSampler:
         cut = rates.shape[1]
         a, b = params.alpha, params.beta
         nonzero = part_set is NONZERO
-        table = asymptotics._log_z_terms(a, b, nonzero, np.arange(1.0, cut + 65.0), 0)
+        table = asymptotics._log_z_terms(a, b, nonzero, np.arange(1.0, cut + 65.0), range(1))
         q = math.exp(-(min(a, b) if nonzero else a + b))
         bounds = table.sum(axis=0) * q / (1.0 - q)
         assert cut == int(np.flatnonzero(bounds < budget)[0]) + 1
@@ -569,8 +569,8 @@ class TestCharFn:
         cut = pair_rates(SamplerSpec(CALIBRATED_1000, NONZERO, DEFAULT_TOL / 2))[0].shape[1]
         assert cut > 64
         r = np.arange(1.0, 10 * cut + 1.0)
-        terms = asymptotics._log_z_terms(complex(a, -t[0]), complex(b, -t[1]), True, r, 0)
-        terms = (terms - asymptotics._log_z_terms(a, b, True, r, 0)).ravel()
+        terms = asymptotics._log_z_terms(complex(a, -t[0]), complex(b, -t[1]), True, r, range(1))
+        terms = (terms - asymptotics._log_z_terms(a, b, True, r, range(1))).ravel()
         diff = cmath.log(char_fn(CALIBRATED_1000, NONZERO, t)) - complex(
             math.fsum(terms.real), math.fsum(terms.imag)
         )
@@ -761,8 +761,9 @@ class TestLyapunov:
         assert calls == [(min(a, b) if part_set is NONZERO else a + b, 3.0)]
 
     def test_peak_memory_is_capped(self):
-        # the series holds one block of r at a time (at most 4096 terms of 5
-        # moments): the peak is ~0.05 MB strict and ~0.4 MB nonzero at (60, 3600)
+        # the series holds one block of r at a time (at most 4096 terms of the 5
+        # order-4 rows, and 2 axis rows for the nonzero set): the peak is ~0.05 MB
+        # strict and ~0.54 MB nonzero at (60, 3600)
         params = calibrate(Target(60, 3600), PartSet.STRICT_POSITIVE).params
         for part_set in PartSet:
             lyapunov_bound(params, part_set)  # caches filled outside the trace

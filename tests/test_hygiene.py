@@ -6,8 +6,10 @@ module, or imported from it or read as module.name in the package or the bench
 the package is set by some call in the package or the bench (or is on
 TEST_ONLY_DEFAULTS), every dataclass field of the package is read as an
 attribute in the package, the bench or the tests, no module of the package
-reads the environment, only EXPM1_CALLERS call expm1, and no line is longer
-than MAX_LINE characters."""
+reads the environment, only EXPM1_CALLERS call expm1 and only
+GEOMETRIC_CALLERS call _geometric, no function or lambda of the package has a
+parameter that its body never reads, and no line is longer than MAX_LINE
+characters."""
 
 import ast
 from pathlib import Path
@@ -382,16 +384,20 @@ def test_no_environment_reads():
 # the one function of the package that may call expm1: the geometric factor
 # G0 = 1/(e^x - 1) and its derivatives
 EXPM1_CALLERS = {"_geometric"}
+# the functions that may call _geometric: the part families' r-terms and the
+# axes' Dirichlet series
+GEOMETRIC_CALLERS = {"_log_z_terms", "_dirichlet_series"}
 
 
-def expm1_callers(source: str) -> set[str]:
-    """Names of the innermost functions that call expm1, as f(x) or m.expm1(x)."""
+def callers(source: str, name: str) -> set[str]:
+    """Names of the module-level functions whose bodies, nested functions
+    included, call name as f(x) or m.f(x); None for a call outside them."""
     found = set()
 
     def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if function is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        elif isinstance(node, ast.Call) and "expm1" in (
+        elif isinstance(node, ast.Call) and name in (
             getattr(node.func, "id", None), getattr(node.func, "attr", None)
         ):
             found.add(function)
@@ -408,7 +414,8 @@ def test_expm1_detector():
         "def f(y):\n    def g(z):\n        return np.expm1(z)\n    return g(y)\n"
         "def h(y):\n    return expm1(y) + np.exp(y)\ndef k(y):\n    return y.expm1\n"
     )
-    assert expm1_callers(source) == {None, "g", "h"}
+    assert callers(source, "expm1") == {None, "f", "h"}
+    assert callers(source, "exp") == {"h"}
 
 
 def test_geometric_factor_in_one_place():
@@ -416,4 +423,57 @@ def test_geometric_factor_in_one_place():
     # and range past x ~ 709.78 are set in one place
     sources = [path.read_text() for path in ROOT.glob("src/bipartitions/*.py")]
     assert sources
-    assert set().union(*map(expm1_callers, sources)) == EXPM1_CALLERS
+    assert set().union(*(callers(source, "expm1") for source in sources)) == EXPM1_CALLERS
+
+
+def test_g_products_in_one_generator():
+    # the part families' G-products, to order 4, are formed only by
+    # asymptotics._log_z_terms, so the log-Z sums, the sampler's rates and the
+    # quartic moments read one layout of rows; the axes' Dirichlet series
+    # are the other caller
+    sources = [path.read_text() for path in ROOT.glob("src/bipartitions/*.py")]
+    assert sources
+    assert set().union(*(callers(source, "_geometric") for source in sources)) == (
+        GEOMETRIC_CALLERS
+    )
+
+
+def unused_parameters(source: str) -> list[str]:
+    """Each parameter, as "function(parameter)", of a function or lambda of the
+    source that its body, nested functions included, never loads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            loaded = {
+                n.id
+                for statement in body
+                for n in ast.walk(statement)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "lambda")
+            found += [f"{name}({a.arg})" for a in params if a and a.arg not in loaded]
+    return sorted(found)
+
+
+def test_unused_parameter_detector():
+    source = (
+        "def f(a, b=1, *args, c, **kw):\n    def g(d):\n        return a + c\n    return g\n"
+        "h = lambda x, y: x\nclass C:\n    def m(self, z):\n        z = 1\n        return self\n"
+        "def k(w=lambda v: 0):\n    return w\n"
+    )
+    assert unused_parameters(source) == [
+        "f(args)", "f(b)", "f(kw)", "g(d)", "lambda(v)", "lambda(y)", "m(z)"
+    ]
+
+
+def test_no_unused_parameters():
+    # a parameter that no body reads is an input that changes nothing
+    found = {
+        path.name: names
+        for path in ROOT.glob("src/bipartitions/*.py")
+        if (names := unused_parameters(path.read_text()))
+    }
+    assert found == {}
